@@ -3,6 +3,8 @@
 // with QADIST_SCENARIOS_DIR), replays each twice, and fails the build —
 // via exit code — when anything drifted:
 //
+//   * the replay's RunDigest differs from the one pinned with the
+//     scenario, or the pin carries no digest (behaviour changed),
 //   * the two replays are not bit-identical (determinism broke),
 //   * any global invariant is violated (drain accounting, telescoping,
 //     zombie spans, counter consistency),
@@ -96,6 +98,17 @@ int main(int argc, char** argv) {
     const fuzz::Observation first = fuzz::run_scenario(world.plans, s, options);
     for (const std::string& violation : first.violations) {
       fail(s.name, violation);
+    }
+    // The pinned digest is the exact fingerprint of the run at pin time:
+    // any behaviour change shows up here even when the tail stays inside
+    // the envelope below.
+    const std::string digest = fuzz::to_string(first.digest);
+    if (s.pin.digest.empty()) {
+      fail(s.name, "pin has no digest (re-run fuzz_hunter); replay gives:\n  " +
+                       digest);
+    } else if (digest != s.pin.digest) {
+      fail(s.name, "replay diverged from the pinned digest:\n  pinned: " +
+                       s.pin.digest + "\n  replay: " + digest);
     }
     // Second full replay from the parsed file content: the digest must
     // match the first run exactly (the corpus's bit-identical-replay

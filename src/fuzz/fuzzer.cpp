@@ -159,6 +159,7 @@ void Fuzzer::harvest_survivors() {
     minimal.pin.p99_seconds = final_run.p99;
     minimal.pin.degraded_fraction = final_run.degraded_fraction;
     minimal.pin.baseline_p99_seconds = baseline_.p99;
+    minimal.pin.digest = to_string(final_run.digest);
     ++index;
 
     Survivor survivor;

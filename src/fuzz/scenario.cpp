@@ -295,6 +295,7 @@ std::string to_json(const Scenario& s) {
     w.field("degraded_fraction", s.pin.degraded_fraction);
     w.field("baseline_p99_seconds", s.pin.baseline_p99_seconds);
     w.field("slack", s.pin.slack);
+    if (!s.pin.digest.empty()) w.field("digest", s.pin.digest);
     w.end_object();
   }
   w.end_object();
@@ -415,6 +416,9 @@ Scenario scenario_from_json(std::string_view text) {
     s.pin.degraded_fraction = num(pin, "degraded_fraction");
     s.pin.baseline_p99_seconds = num(pin, "baseline_p99_seconds");
     s.pin.slack = num(pin, "slack");
+    if (!pin.at("digest").is_null()) {
+      s.pin.digest = string_field(pin, "digest");
+    }
   }
   return s;
 }

@@ -26,6 +26,10 @@ struct Pin {
   /// drift only comes from real code changes, but unrelated changes to
   /// event ordering legitimately move tails a little.
   double slack = 0.25;
+  /// fuzz::to_string(RunDigest) of the run at pin time: the exact
+  /// fingerprint every replay must reproduce, so a behaviour change fails
+  /// bench_adversarial even while the tail stays inside the envelope.
+  std::string digest;
 };
 
 /// One fuzzable simulation scenario — the complete, serializable genome

@@ -77,6 +77,7 @@ Scenario full_scenario() {
   s.pin.degraded_fraction = 0.25;
   s.pin.baseline_p99_seconds = 81.373;
   s.pin.slack = 0.25;
+  s.pin.digest = "makespan=12.5 mean=3.25 p99=9 submitted=4";
   return s;
 }
 
@@ -126,6 +127,7 @@ TEST(ScenarioJsonTest, RoundTripsEveryFieldExactly) {
   ASSERT_TRUE(r.pin.present);
   EXPECT_EQ(r.pin.p99_seconds, s.pin.p99_seconds);
   EXPECT_EQ(r.pin.slack, s.pin.slack);
+  EXPECT_EQ(r.pin.digest, s.pin.digest);
 }
 
 TEST(ScenarioJsonTest, SerializationIsCanonical) {

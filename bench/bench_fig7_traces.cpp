@@ -55,16 +55,14 @@ int main(int argc, char** argv) {
     cfg.partition.ap_strategy = strategies[variant];
     cfg.partition.ap_chunk = bench::scaled_chunk(world);
     cluster::System system(sim, cfg);
-    cluster::TraceRecorder trace;
     obs::Tracer tracer;
-    system.set_trace(&trace);
     system.set_tracer(&tracer);
     system.submit(world.plans[pick], 0.0);
     const auto metrics = system.run();
 
     std::printf("Figure 7 %s — question '%s'\n%s", labels[variant],
                 world.plans[pick].source.text.c_str(),
-                trace.render().c_str());
+                obs::render_text(tracer).c_str());
     std::printf("  response time: %.2f s\n\n", metrics.latencies.mean());
 
     // Machine-readable twins of this text trace: the same event stream as

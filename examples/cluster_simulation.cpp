@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "corpus/generator.hpp"
+#include "obs/export.hpp"
 #include "qa/engine.hpp"
 
 int main() {
@@ -81,11 +82,11 @@ int main() {
   cfg.nodes = 4;
   cfg.partition.ap_chunk = 8;
   cluster::System system(sim, cfg);
-  cluster::TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   system.submit(plans[0], 0.0);
   (void)system.run();
   std::printf("Execution trace of one question on an idle 4-node system:\n%s",
-              trace.render().c_str());
+              obs::render_text(tracer).c_str());
   return 0;
 }

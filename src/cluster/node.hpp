@@ -89,6 +89,26 @@ class Node {
     return gray_cpu_factor_ != 1.0 || gray_disk_factor_ != 1.0;
   }
 
+  /// Service demand of `work` on this node right now: the memory-pressure
+  /// multiplier (or a `thrash` sampled earlier) times the gray stretch of
+  /// the resource. Evaluated left to right, as `work * thrash * factor`.
+  [[nodiscard]] double cpu_work(double work) const {
+    return cpu_work(work, work_multiplier());
+  }
+  [[nodiscard]] double cpu_work(double work, double thrash) const {
+    return work * thrash * gray_cpu_factor_;
+  }
+  [[nodiscard]] double disk_work(double work, double thrash) const {
+    return work * thrash * gray_disk_factor_;
+  }
+  /// Gray stretch only, for work the memory model does not inflate.
+  [[nodiscard]] double gray_cpu_work(double work) const {
+    return work * gray_cpu_factor_;
+  }
+  [[nodiscard]] double gray_disk_work(double work) const {
+    return work * gray_disk_factor_;
+  }
+
   /// Time-averaged resource loads since the previous call — the load
   /// monitor's per-period measurement (average active customers per
   /// resource over the period).

@@ -58,8 +58,4 @@ std::vector<std::size_t> overload_pick_sequence(
   return picks;
 }
 
-// submit_overload / submit_serial are defined in the workload library
-// (src/workload/compat.cpp) as thin wrappers over workload::Driver —
-// cluster cannot link against workload, so the shims live there.
-
 }  // namespace qadist::cluster

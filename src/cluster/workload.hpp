@@ -46,21 +46,15 @@ struct OverloadWorkload {
   std::size_t distinct_questions = 0;  ///< 0 = all plans are candidates
 };
 
-/// The plan indices submit_overload will submit, in order — the pick
-/// sequence is pure in (workload, plan_count, count), which is what makes
-/// cache-hit sequences reproducible across runs and policies. Exposed for
-/// tests and benches that need to know the question stream (e.g. to
-/// prewarm caches with exactly the plans that will repeat).
+/// The plan indices an overload run (workload::Driver, RunSpec shape
+/// kOverload) submits, in order — the pick sequence is pure in (workload,
+/// plan_count, count), which is what makes cache-hit sequences
+/// reproducible across runs and policies. Exposed for tests and benches
+/// that need to know the question stream (e.g. to prewarm caches with
+/// exactly the plans that will repeat).
 [[nodiscard]] std::vector<std::size_t> overload_pick_sequence(
     const OverloadWorkload& workload, std::size_t plan_count,
     std::size_t count);
-
-/// Compatibility shim over workload::Driver (RunSpec shape kOverload):
-/// same pick sequence and arrival instants, bit for bit. New code should
-/// use the Driver directly — it also covers the serial and open-loop
-/// protocols and can run the whole experiment in one call.
-void submit_overload(System& system, std::span<const QuestionPlan> plans,
-                     const OverloadWorkload& workload);
 
 /// Low-load protocol (paper Sec. 6.2): `count` questions submitted one at
 /// a time, with gaps long enough that the system fully drains between
@@ -73,9 +67,5 @@ struct SerialWorkload {
   std::size_t offset = 0;
   Bandwidth reference_disk = Bandwidth::from_mbps(250);
 };
-
-/// Compatibility shim over workload::Driver (RunSpec shape kSerial).
-void submit_serial(System& system, std::span<const QuestionPlan> plans,
-                   const SerialWorkload& workload);
 
 }  // namespace qadist::cluster

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/strings.hpp"
 #include "obs/json.hpp"
 
 namespace qadist::obs {
@@ -170,6 +171,22 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   if (!events.empty() && !first) os << ",";
   emit_sorted(events, os, ",");
   os << "]}";
+}
+
+std::string render_text(const Tracer& tracer) {
+  std::vector<const InstantRecord*> sorted;
+  sorted.reserve(tracer.instants().size());
+  for (const auto& e : tracer.instants()) sorted.push_back(&e);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const InstantRecord* a, const InstantRecord* b) {
+                     return a->time < b->time;
+                   });
+  std::ostringstream os;
+  for (const InstantRecord* e : sorted) {
+    os << "[" << format_double(e->time, 2) << "s] N" << (e->node + 1) << " "
+       << e->text << "\n";
+  }
+  return os.str();
 }
 
 void write_metrics_json(const MetricsRegistry& registry, std::ostream& os) {

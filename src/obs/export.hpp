@@ -25,6 +25,13 @@ void write_jsonl(const Tracer& tracer, std::ostream& os);
 /// emitted in non-decreasing ts order.
 void write_chrome_trace(const Tracer& tracer, std::ostream& os);
 
+/// The paper's Fig. 7 text trace: one "[<t>s] N<k> <text>" line per
+/// instant event, <t> to two decimals and nodes 1-based. Instants are
+/// stable-sorted by time first: recovery events are recorded by the
+/// coordinator when it *detects* a loss, which can interleave out of order
+/// with the victims' own final events.
+[[nodiscard]] std::string render_text(const Tracer& tracer);
+
 /// The registry snapshot as one JSON object (see MetricsRegistry::to_json).
 void write_metrics_json(const MetricsRegistry& registry, std::ostream& os);
 

@@ -70,7 +70,6 @@ void Tracer::end_span(SpanId id, Seconds end, Attrs extra) {
 
 void Tracer::instant(Seconds time, std::uint32_t node, std::string text,
                      Attrs attrs) {
-  if (text_sink_ != nullptr) text_sink_->on_text(time, node, text);
   InstantRecord rec;
   rec.time = time;
   rec.node = node;

@@ -29,16 +29,6 @@ using Attrs = std::vector<std::pair<std::string, AttrValue>>;
 using SpanId = std::uint64_t;
 inline constexpr SpanId kNoSpan = 0;
 
-/// Receiver for the human-readable rendering of instant events — the
-/// bridge that keeps the Fig. 7 text trace and the JSON trace views of one
-/// event stream (cluster::TraceRecorder implements this).
-class TextSink {
- public:
-  virtual ~TextSink() = default;
-  virtual void on_text(Seconds time, std::uint32_t node,
-                       const std::string& text) = 0;
-};
-
 /// One timed interval: a question's lifetime, a pipeline stage, a PR/AP
 /// leg. `track` groups spans into sequential timelines (Perfetto threads);
 /// spans on one track must nest, spans on different tracks may overlap.
@@ -88,8 +78,7 @@ class Tracer {
   /// the span ran) are appended. end >= start enforced.
   void end_span(SpanId id, Seconds end, Attrs extra = {});
 
-  /// Records a point event and forwards its text to the attached TextSink
-  /// (the Fig. 7 rendering), so both views come from this one call.
+  /// Records a point event (obs::render_text prints the Fig. 7 view).
   void instant(Seconds time, std::uint32_t node, std::string text,
                Attrs attrs = {});
 
@@ -99,9 +88,6 @@ class Tracer {
 
   /// Allocates a fresh track id (tracks are never reused).
   std::uint64_t new_track() { return next_track_++; }
-
-  void set_text_sink(TextSink* sink) { text_sink_ = sink; }
-  [[nodiscard]] TextSink* text_sink() const { return text_sink_; }
 
   [[nodiscard]] const std::vector<SpanRecord>& spans() const {
     return spans_;
@@ -127,7 +113,6 @@ class Tracer {
   SpanId next_id_ = 1;       // 0 is kNoSpan
   std::uint64_t next_track_ = 1;  // track 0 is the per-node event track
   std::size_t open_spans_ = 0;
-  TextSink* text_sink_ = nullptr;
 };
 
 }  // namespace qadist::obs

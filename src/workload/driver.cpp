@@ -32,9 +32,8 @@ bool finite_positive(double value) {
   return std::isfinite(value) && value > 0.0;
 }
 
-/// High-load protocol (paper Sec. 6.1). The arrival-gap RNG and the pick
-/// sequence are exactly the legacy submit_overload streams: gaps uniform
-/// in [0, 2g] from Rng(seed), picks from overload_pick_sequence.
+/// High-load protocol (paper Sec. 6.1): gaps uniform in [0, 2g] from
+/// Rng(seed), picks from overload_pick_sequence.
 Submitted submit_overload_spec(cluster::System& system,
                                std::span<const cluster::QuestionPlan> plans,
                                const cluster::OverloadWorkload& workload) {

@@ -29,9 +29,9 @@ enum class WorkloadShape {
 /// system under test.
 struct RunSpec {
   WorkloadShape shape = WorkloadShape::kOverload;
-  cluster::OverloadWorkload overload;   ///< read when shape == kOverload
-  cluster::SerialWorkload serial;       ///< read when shape == kSerial
-  ArrivalProcessConfig open_loop;       ///< read when shape == kOpenLoop
+  cluster::OverloadWorkload overload{};  ///< read when shape == kOverload
+  cluster::SerialWorkload serial{};      ///< read when shape == kSerial
+  ArrivalProcessConfig open_loop{};      ///< read when shape == kOpenLoop
 };
 
 /// What one driven run produced.
@@ -41,12 +41,9 @@ struct RunResult {
 };
 
 /// The front door for driving a System through a workload. The three
-/// legacy protocols (cluster::submit_overload, cluster::submit_serial,
-/// submit_stream over arrival_stream) are one API here: build a Driver
-/// over the system and its plan set, describe the traffic in a RunSpec,
-/// and run(). The pick sequences and arrival instants are bit-identical
-/// to the legacy free functions at the same parameters — those functions
-/// are now thin wrappers over this class, kept for compatibility.
+/// protocols — the paper's high-load and one-at-a-time runs, and an
+/// open-loop arrival stream — are one API: build a Driver over the system
+/// and its plan set, describe the traffic in a RunSpec, and run().
 class Driver {
  public:
   Driver(cluster::System& system,

@@ -16,6 +16,7 @@
 #include "broker/stats.hpp"
 #include "cluster/system.hpp"
 #include "support/test_world.hpp"
+#include "support/instants.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -169,8 +170,8 @@ TEST(BrokerSystemTest, CrashedDesignatedBrokerReroutesThroughItsGroup) {
   simnet::Simulation sim;
   SystemConfig cfg = brokered_config(6, 8, 2, 2);
   System system(sim, cfg);
-  TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   // Groups are {0,1,2} and {3,4,5}; node 3 fronts group 1. Kill it before
   // any question arrives: every group-1 slice must route through a
   // surviving group member instead.
@@ -201,8 +202,8 @@ TEST(BrokerSystemTest, DeadBrokerSubtreeDegradesAndNeverEntersTheCache) {
   SystemConfig cfg = brokered_config(4, 8, 1, 2);
   cfg.cache.answers.max_entries = 64;
   System system(sim, cfg);
-  TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   system.schedule_crash(2, 1.0);
   system.schedule_crash(3, 1.0);
   ASSERT_GE(plans()[0].pr_units.size(), 2u);
@@ -211,7 +212,7 @@ TEST(BrokerSystemTest, DeadBrokerSubtreeDegradesAndNeverEntersTheCache) {
   EXPECT_EQ(metrics.completed, 1u);
   EXPECT_EQ(metrics.questions_degraded, 1u);
   EXPECT_GE(metrics.shard_units_unserved, 1u);
-  EXPECT_GE(trace.count_containing("no usable broker"), 1u);
+  EXPECT_GE(testing::count_instants(tracer, "no usable broker"), 1u);
   // The partial answer flows through the degraded accounting...
   const auto* gauge =
       system.registry().find_gauge("degraded_answer_fraction");

@@ -6,6 +6,7 @@
 #include "cluster/workload.hpp"
 #include "obs/span.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -157,7 +158,7 @@ TEST(CacheSystemTest, SameSeedSameHitSequence) {
     load.count = 24;
     load.repeat_exponent = 1.0;
     load.distinct_questions = 4;
-    submit_overload(system, plans(), load);
+    workload::Driver(system, plans()).submit({.overload = load});
     return system.run();
   };
   const auto a = run_once(7);
@@ -181,7 +182,7 @@ TEST(CacheSystemTest, TracingDoesNotPerturbCachedRuns) {
     load.count = 16;
     load.repeat_exponent = 1.0;
     load.distinct_questions = 4;
-    submit_overload(system, plans(), load);
+    workload::Driver(system, plans()).submit({.overload = load});
     const auto metrics = system.run();
     if (traced) {
       EXPECT_GT(tracer.spans().size(), 0u);

@@ -7,6 +7,7 @@
 
 #include "cluster/system.hpp"
 #include "support/test_world.hpp"
+#include "support/instants.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -41,12 +42,13 @@ SystemConfig config(std::size_t nodes, Policy policy = Policy::kDqa) {
 
 /// Loaded run with two worker crashes mid-flight. Questions arrive fast
 /// enough that the crashed nodes are executing work when they die.
-Metrics run_with_worker_crashes(SystemConfig cfg, TraceRecorder* trace = nullptr) {
+Metrics run_with_worker_crashes(SystemConfig cfg,
+                                obs::Tracer* tracer = nullptr) {
   simnet::Simulation sim;
   cfg.faults.crashes.push_back(FaultEvent{1, 5.0});
   cfg.faults.crashes.push_back(FaultEvent{2, 45.0});
   System system(sim, cfg);
-  if (trace != nullptr) system.set_trace(trace);
+  if (tracer != nullptr) system.set_tracer(tracer);
   Seconds at = 0.0;
   for (std::size_t i = 0; i < 12; ++i) {
     system.submit(plans()[i], at);
@@ -89,15 +91,15 @@ TEST(FaultRecoveryTest, HostCrashRestartsQuestionOnSurvivor) {
   simnet::Simulation sim;
   auto cfg = config(2, Policy::kDns);  // DNS: question 0 is hosted on node 0
   System system(sim, cfg);
-  TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   system.submit(plans()[0], 0.0);
   system.schedule_crash(0, 5.0);  // well inside the question's service time
   const auto metrics = system.run();
   EXPECT_EQ(metrics.completed, 1u);
   EXPECT_EQ(metrics.crashes, 1u);
   EXPECT_GE(metrics.question_restarts, 1u);
-  EXPECT_GE(trace.count_containing("resubmitting"), 1u);
+  EXPECT_GE(testing::count_instants(tracer, "resubmitting"), 1u);
   // The survivor did the work.
   EXPECT_GT(system.node(1).cpu().work_served(), 0.0);
   EXPECT_TRUE(system.node_crashed(0));
@@ -107,8 +109,8 @@ TEST(FaultRecoveryTest, RestartedNodeRejoinsThePool) {
   simnet::Simulation sim;
   auto cfg = config(2);
   System system(sim, cfg);
-  TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   system.schedule_crash(1, 1.0, /*restart_after=*/10.0);
   // Submissions long after the reboot: the rejoined node must host again.
   Seconds at = 100.0;
@@ -118,7 +120,7 @@ TEST(FaultRecoveryTest, RestartedNodeRejoinsThePool) {
   }
   const auto metrics = system.run();
   EXPECT_EQ(metrics.completed, 6u);
-  EXPECT_EQ(trace.count_containing("restarted"), 1u);
+  EXPECT_EQ(testing::count_instants(tracer, "restarted"), 1u);
   EXPECT_FALSE(system.node_crashed(1));
   EXPECT_GT(system.node(1).cpu().work_served(), 0.0);
 }
@@ -162,10 +164,10 @@ TEST(FaultRecoveryTest, RandomMtbfCrashesAreDeterministic) {
 }
 
 TEST(FaultRecoveryTest, RecoveryMetricsAreConsistent) {
-  TraceRecorder trace;
+  obs::Tracer tracer;
   auto cfg = config(4);
   cfg.partition.ap_strategy = Strategy::kIsend;
-  const auto metrics = run_with_worker_crashes(cfg, &trace);
+  const auto metrics = run_with_worker_crashes(cfg, &tracer);
   EXPECT_EQ(metrics.completed, 12u);
   // Recovery bookkeeping lines up: recovered items imply lost legs, and
   // every recovery latency sample came from a recovery event.
@@ -178,7 +180,7 @@ TEST(FaultRecoveryTest, RecoveryMetricsAreConsistent) {
     // of the poll preceding it — never more than one full timeout late.
     EXPECT_LE(metrics.recovery_latency.mean(), 2.0 * cfg.net.membership_timeout);
   }
-  EXPECT_EQ(trace.count_containing("crashed"), 2u);
+  EXPECT_EQ(testing::count_instants(tracer, "crashed"), 2u);
 }
 
 }  // namespace

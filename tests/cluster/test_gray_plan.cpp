@@ -16,6 +16,7 @@
 #include "cluster/workload.hpp"
 #include "simnet/simulation.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -46,7 +47,7 @@ const std::vector<QuestionPlan>& plans() {
 void submit_small_workload(System& system) {
   OverloadWorkload workload;
   workload.count = 4;
-  submit_overload(system, plans(), workload);
+  workload::Driver(system, plans()).submit({.overload = workload});
 }
 
 SystemConfig base_config() {

@@ -7,6 +7,7 @@
 #include "cluster/system.hpp"
 #include "cluster/workload.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -70,7 +71,7 @@ TEST(HeterogeneousTest, LoadBalancerRoutesWorkToFastNodes) {
   System system(sim, het_config(Policy::kDqa));
   OverloadWorkload workload;
   workload.seed = 11;
-  submit_overload(system, het_plans(), workload);
+  workload::Driver(system, het_plans()).submit({.overload = workload});
   const auto m = system.run();
   EXPECT_EQ(m.completed, 32u);
   // Fast nodes (0,1) must serve more CPU-seconds than slow nodes (2,3).
@@ -88,7 +89,7 @@ TEST(HeterogeneousTest, DqaBeatsDnsByMoreOnHeterogeneousCluster) {
     System system(sim, cfg);
     OverloadWorkload workload;
     workload.seed = 11;
-    submit_overload(system, het_plans(), workload);
+    workload::Driver(system, het_plans()).submit({.overload = workload});
     return system.run().latencies.mean();
   };
   const double gain_homogeneous =

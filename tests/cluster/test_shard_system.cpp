@@ -12,6 +12,7 @@
 
 #include "cluster/system.hpp"
 #include "support/test_world.hpp"
+#include "support/instants.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -134,8 +135,8 @@ TEST(ShardSystemTest, UnavailableShardDegradesInsteadOfBlocking) {
   simnet::Simulation sim;
   SystemConfig cfg = sharded_config(2, 4, 1);  // R=1: no failover source
   System system(sim, cfg);
-  TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   const shard::ShardMap* map = system.shard_map();
   ASSERT_NE(map, nullptr);
   const sched::NodeId victim =
@@ -150,8 +151,8 @@ TEST(ShardSystemTest, UnavailableShardDegradesInsteadOfBlocking) {
   EXPECT_EQ(metrics.questions_degraded, 1u);
   EXPECT_GE(metrics.shard_units_unserved, 1u);
   EXPECT_EQ(metrics.shard_rebuilds, 0u);
-  EXPECT_GE(trace.count_containing("no ready replica"), 1u);
-  EXPECT_GE(trace.count_containing("unavailable"), 1u);
+  EXPECT_GE(testing::count_instants(tracer, "no ready replica"), 1u);
+  EXPECT_GE(testing::count_instants(tracer, "unavailable"), 1u);
 }
 
 TEST(ShardSystemTest, RestartedHolderRevalidatesItsShards) {
@@ -226,8 +227,8 @@ TEST(ShardSystemTest, RejoinAfterConfirmedDeathClearsTheNodesCaches) {
 
   simnet::Simulation sim;
   System system(sim, cfg);
-  TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   system.prewarm(plans()[0]);
   ASSERT_TRUE(system.answer_cached(preferred, plans()[0]));
   // Graceful leave at 1 s: silence hardens into kDead at the membership
@@ -243,7 +244,7 @@ TEST(ShardSystemTest, RejoinAfterConfirmedDeathClearsTheNodesCaches) {
   // The prewarmed entry did not survive the outage.
   EXPECT_FALSE(system.answer_cached(preferred, plans()[0]));
   EXPECT_GE(system.answer_cache_stats(preferred).invalidations, 1u);
-  EXPECT_GE(trace.count_containing("rejoined after confirmed death"), 1u);
+  EXPECT_GE(testing::count_instants(tracer, "rejoined after confirmed death"), 1u);
 }
 
 TEST(ShardSystemTest, CrashOfNonHolderLeavesTheMapAlone) {

@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "support/test_world.hpp"
+#include "obs/export.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -186,12 +187,12 @@ TEST(SystemTest, TraceRecordsLifecycle) {
   const auto& f = fixture();
   simnet::Simulation sim;
   System system(sim, base_config(4, Policy::kDqa));
-  TraceRecorder trace;
-  system.set_trace(&trace);
+  obs::Tracer tracer;
+  system.set_tracer(&tracer);
   system.submit(f.plans[0], 0.0);
   (void)system.run();
-  ASSERT_FALSE(trace.empty());
-  const auto text = trace.render();
+  ASSERT_FALSE(tracer.instants().empty());
+  const auto text = obs::render_text(tracer);
   EXPECT_NE(text.find("started question"), std::string::npos);
   EXPECT_NE(text.find("finished collection"), std::string::npos);
   EXPECT_NE(text.find("accepted"), std::string::npos);

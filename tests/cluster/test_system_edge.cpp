@@ -82,8 +82,8 @@ TEST(SystemEdgeTest, TraceDoesNotPerturbTiming) {
   const auto run = [&](bool traced) {
     simnet::Simulation sim;
     System system(sim, cfg(4));
-    TraceRecorder trace;
-    if (traced) system.set_trace(&trace);
+    obs::Tracer tracer;
+    if (traced) system.set_tracer(&tracer);
     system.submit(edge_plans()[2], 0.0);
     return system.run().latencies.mean();
   };

@@ -19,6 +19,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/span.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -69,7 +70,7 @@ GoldenRun golden_scenario(bool sharded) {
   OverloadWorkload workload;
   workload.count = 24;
   workload.seed = 5;
-  submit_overload(system, plans(), workload);
+  workload::Driver(system, plans()).submit({.overload = workload});
 
   GoldenRun out;
   out.metrics = system.run();
@@ -160,7 +161,7 @@ TailRun tail_scenario(bool hedge, bool tied, bool latency_aware,
   workload.count = 48;
   workload.overload_factor = 0.6;  // moderate: tails come from the gray node
   workload.seed = 5;
-  submit_overload(system, plans(), workload);
+  workload::Driver(system, plans()).submit({.overload = workload});
 
   TailRun out;
   out.metrics = system.run();
@@ -262,7 +263,7 @@ TEST(GrayFaultTest, RecoveryWindowClosesAndCounts) {
   OverloadWorkload workload;
   workload.count = 12;
   workload.seed = 3;
-  submit_overload(system, plans(), workload);
+  workload::Driver(system, plans()).submit({.overload = workload});
   const Metrics m = system.run();
   EXPECT_EQ(m.completed, 12u);
   EXPECT_EQ(m.gray_onsets, 1u);

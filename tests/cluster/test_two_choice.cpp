@@ -5,6 +5,7 @@
 #include "cluster/system.hpp"
 #include "cluster/workload.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -37,7 +38,7 @@ Metrics run_policy(Policy policy, std::uint64_t seed = 3) {
   System system(sim, cfg);
   OverloadWorkload workload;
   workload.seed = seed;
-  submit_overload(system, tc_plans(), workload);
+  workload::Driver(system, tc_plans()).submit({.overload = workload});
   return system.run();
 }
 

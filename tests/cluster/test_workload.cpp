@@ -7,6 +7,7 @@
 #include <set>
 
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::cluster {
 namespace {
@@ -56,7 +57,7 @@ TEST(WorkloadTest, OverloadSubmitsEightPerNodeByDefault) {
   cfg.nodes = 3;
   cfg.partition.ap_chunk = 8;
   System system(sim, cfg);
-  submit_overload(system, plans, OverloadWorkload{});
+  workload::Driver(system, plans).submit({});  // overload, 8N questions
   const auto metrics = system.run();
   EXPECT_EQ(metrics.completed, 24u);  // 8 x 3 nodes
 }
@@ -73,7 +74,7 @@ TEST(WorkloadTest, OverloadArrivalRateMatchesFactor) {
   workload.count = 64;
   workload.overload_factor = 2.0;
   workload.seed = 5;
-  submit_overload(system, plans, workload);
+  workload::Driver(system, plans).submit({.overload = workload});
   const auto metrics = system.run();
   // The last arrival should land near count x mean_gap, where mean_gap =
   // service / (overload x nodes). Uniform gaps: wide tolerance.
@@ -91,7 +92,8 @@ TEST(WorkloadTest, SerialDrainsBetweenQuestions) {
   System system(sim, cfg);
   SerialWorkload workload;
   workload.count = 5;
-  submit_serial(system, plans, workload);
+  workload::Driver(system, plans)
+      .submit({.shape = workload::WorkloadShape::kSerial, .serial = workload});
   const auto metrics = system.run();
   EXPECT_EQ(metrics.completed, 5u);
   // Fully drained between questions: the max latency is far below the gap,
@@ -114,7 +116,8 @@ TEST(WorkloadTest, SerialStrideSelectsPlans) {
     workload.count = 4;
     workload.offset = 1;
     workload.stride = 2;
-    submit_serial(system, plans, workload);
+    workload::Driver(system, plans)
+        .submit({.shape = workload::WorkloadShape::kSerial, .serial = workload});
     return system.run();
   };
   const auto a = run();
@@ -182,7 +185,7 @@ TEST(WorkloadDeathTest, OverloadPanicsOnZeroWorkPlanSet) {
   cfg.nodes = 2;
   cfg.partition.ap_chunk = 8;
   System system(sim, cfg);
-  EXPECT_DEATH(submit_overload(system, plans, OverloadWorkload{}),
+  EXPECT_DEATH(workload::Driver(system, plans).submit({}),
                "zero mean service");
 }
 
@@ -218,12 +221,12 @@ TEST(WorkloadTest, ZipfOverloadSubmitsTheSequenceItAdvertises) {
   workload.seed = 2;
   workload.repeat_exponent = 1.0;
   workload.distinct_questions = 3;
-  // Prewarm exactly the advertised picks: if submit_overload used any
+  // Prewarm exactly the advertised picks: if the overload run used any
   // other sequence, at least one question would miss.
   const auto picks =
       overload_pick_sequence(workload, plans.size(), workload.count);
   for (const auto pick : picks) system.prewarm(plans[pick]);
-  submit_overload(system, plans, workload);
+  workload::Driver(system, plans).submit({.overload = workload});
   const auto metrics = system.run();
   EXPECT_EQ(metrics.completed, 16u);
   EXPECT_EQ(metrics.cache_hits, 16u);
@@ -242,7 +245,7 @@ TEST(WorkloadTest, SameSeedSameArrivalsAcrossPolicies) {
     OverloadWorkload workload;
     workload.count = 6;
     workload.seed = 9;
-    submit_overload(system, plans, workload);
+    workload::Driver(system, plans).submit({.overload = workload});
     const auto m = system.run();
     return m.submitted;
   };

@@ -9,6 +9,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/span.hpp"
 #include "support/test_world.hpp"
+#include "workload/driver.hpp"
 
 namespace qadist::obs {
 namespace {
@@ -192,7 +193,7 @@ TEST(CriticalPathTest, ComponentSumsEqualLatencyOnRealRuns) {
     cluster::OverloadWorkload workload;
     workload.count = 24;
     workload.seed = 7;
-    cluster::submit_overload(system, plans, workload);
+    workload::Driver(system, plans).submit({.overload = workload});
     [[maybe_unused]] const auto metrics = system.run();
 
     const auto questions = analyze_questions(tracer);

@@ -13,7 +13,6 @@
 #include "cluster/cost_model.hpp"
 #include "cluster/plan.hpp"
 #include "cluster/system.hpp"
-#include "cluster/trace.hpp"
 #include "obs/span.hpp"
 #include "support/mini_json.hpp"
 #include "support/test_world.hpp"
@@ -28,7 +27,6 @@ using qadist::testing::test_world;
 /// runs the real Q/A pipeline, so do it once).
 struct TracedRun {
   Tracer tracer;
-  cluster::TraceRecorder text_trace;
   std::size_t questions = 0;
   Seconds makespan = 0.0;
 };
@@ -50,7 +48,6 @@ const TracedRun& traced_run() {
     cfg.nodes = 2;
     cfg.partition.ap_chunk = 8;
     cluster::System system(sim, cfg);
-    system.set_trace(&r->text_trace);
     system.set_tracer(&r->tracer);
     Seconds at = 0.0;
     for (const auto& plan : plans) {
@@ -65,6 +62,27 @@ const TracedRun& traced_run() {
   return *run;
 }
 
+TEST(RenderText, UsesOneBasedNodeNames) {
+  Tracer tracer;
+  tracer.instant(0.0, 0, "hello");
+  tracer.instant(12.34, 3, "done");
+  EXPECT_EQ(render_text(tracer), "[0.00s] N1 hello\n[12.34s] N4 done\n");
+}
+
+TEST(RenderText, StableSortsByTime) {
+  // Coordinator-side recovery events are recorded when a loss is
+  // detected, not in time order; the rendering sorts by timestamp but
+  // keeps the recording order of simultaneous events.
+  Tracer tracer;
+  tracer.instant(5.0, 1, "late");
+  tracer.instant(1.0, 0, "early");
+  tracer.instant(5.0, 2, "late tie");
+  EXPECT_EQ(render_text(tracer),
+            "[1.00s] N1 early\n[5.00s] N2 late\n[5.00s] N3 late tie\n");
+  EXPECT_EQ(tracer.instants()[0].text, "late");  // recording order kept
+  EXPECT_EQ(render_text(Tracer{}), "");
+}
+
 TEST(TracedSystemRun, EverySpanClosesAndEveryStageIsCovered) {
   const TracedRun& run = traced_run();
   ASSERT_EQ(run.questions, 3u);
@@ -74,8 +92,8 @@ TEST(TracedSystemRun, EverySpanClosesAndEveryStageIsCovered) {
     EXPECT_GE(run.tracer.count_spans(stage), run.questions)
         << "missing spans for stage " << stage;
   }
-  // The text view rendered the same stream (one event source).
-  const std::string text = run.text_trace.render();
+  // The Fig. 7 text view renders the same instant stream.
+  const std::string text = render_text(run.tracer);
   EXPECT_NE(text.find("started question"), std::string::npos);
   EXPECT_NE(text.find("answered question"), std::string::npos);
 }

@@ -1,8 +1,7 @@
-// workload::Driver — the unified run/driver API. The legacy free
-// functions (cluster::submit_overload, cluster::submit_serial,
-// submit_stream over arrival_stream) are wrappers over the Driver, so
-// driving the same spec through either path must produce bit-identical
-// runs: same pick sequence, same arrival instants, same metrics.
+// workload::Driver — the unified run/driver API. Driving an open-loop
+// spec must match submitting its arrival stream directly (same pick
+// sequence, same arrival instants, same metrics), and every spec is
+// validated before anything is submitted.
 
 #include "workload/driver.hpp"
 
@@ -51,49 +50,6 @@ void expect_identical(const cluster::Metrics& a, const cluster::Metrics& b) {
   EXPECT_EQ(a.migrations_qa, b.migrations_qa);
   EXPECT_EQ(a.migrations_pr, b.migrations_pr);
   EXPECT_EQ(a.migrations_ap, b.migrations_ap);
-}
-
-TEST(DriverTest, OverloadShapeMatchesLegacyFreeFunction) {
-  cluster::OverloadWorkload workload;
-  workload.count = 16;
-  workload.seed = 9;
-
-  simnet::Simulation sim_legacy;
-  cluster::System legacy(sim_legacy, config());
-  cluster::submit_overload(legacy, plans(), workload);
-  const cluster::Metrics via_legacy = legacy.run();
-
-  simnet::Simulation sim_driver;
-  cluster::System driven(sim_driver, config());
-  RunSpec spec;
-  spec.shape = WorkloadShape::kOverload;
-  spec.overload = workload;
-  const RunResult result = Driver(driven, plans()).run(spec);
-
-  EXPECT_EQ(result.submitted, 16u);
-  expect_identical(result.metrics, via_legacy);
-}
-
-TEST(DriverTest, SerialShapeMatchesLegacyFreeFunction) {
-  cluster::SerialWorkload workload;
-  workload.count = 6;
-  workload.offset = 1;
-  workload.stride = 2;
-
-  simnet::Simulation sim_legacy;
-  cluster::System legacy(sim_legacy, config());
-  cluster::submit_serial(legacy, plans(), workload);
-  const cluster::Metrics via_legacy = legacy.run();
-
-  simnet::Simulation sim_driver;
-  cluster::System driven(sim_driver, config());
-  RunSpec spec;
-  spec.shape = WorkloadShape::kSerial;
-  spec.serial = workload;
-  const RunResult result = Driver(driven, plans()).run(spec);
-
-  EXPECT_EQ(result.submitted, 6u);
-  expect_identical(result.metrics, via_legacy);
 }
 
 TEST(DriverTest, OpenLoopShapeMatchesArrivalStreamSubmit) {

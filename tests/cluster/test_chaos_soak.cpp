@@ -42,7 +42,11 @@ std::uint64_t chaos_seed() {
   return std::strtoull(env, nullptr, 10);
 }
 
-Metrics soak(std::uint64_t seed, bool sharded = false, bool gray = false) {
+/// `brokered` adds a two-level broker tier (2 groups of 3) with CORI-style
+/// selection at 0.5 on top of the sharded corpus; `broker_legs`, when set,
+/// receives how many broker legs the run issued.
+Metrics soak(std::uint64_t seed, bool sharded = false, bool gray = false,
+             bool brokered = false, double* broker_legs = nullptr) {
   simnet::Simulation sim;
   SystemConfig cfg;
   if (gray) {
@@ -65,11 +69,17 @@ Metrics soak(std::uint64_t seed, bool sharded = false, bool gray = false) {
     cfg.tail.latency_aware = true;
     cfg.net.hint_hysteresis = 30.0;
   }
-  if (sharded) {
+  if (sharded || brokered) {
     // Partially-replicated corpus on top of all the chaos: crashes now also
     // cost shard failovers, background rebuilds, and rejoin re-validation.
     cfg.shard.num_shards = 8;
     cfg.shard.replication = 2;
+  }
+  if (brokered) {
+    // Brokers front each group; a crashed broker's slice re-routes through
+    // an acting broker while its in-group workers may be orphaned mid-leg.
+    cfg.broker.brokers = 2;
+    cfg.broker.selectivity = 0.5;
   }
   cfg.nodes = 6;
   cfg.seed = seed;
@@ -98,7 +108,11 @@ Metrics soak(std::uint64_t seed, bool sharded = false, bool gray = false) {
     system.submit(plans()[i % plans().size()], at);
     at += 20.0;  // 30 questions over 10 simulated minutes
   }
-  return system.run();
+  const Metrics m = system.run();
+  if (broker_legs != nullptr) {
+    *broker_legs = system.registry().find_counter("broker_legs")->value();
+  }
+  return m;
 }
 
 TEST(ChaosSoakTest, EveryQuestionCompletesOrDegradesNeverHangs) {
@@ -194,6 +208,39 @@ TEST(ChaosSoakTest, ShardedSoakReplaysBitIdentically) {
   EXPECT_EQ(a.shard_failovers, b.shard_failovers);
   EXPECT_EQ(a.shard_rebuilds, b.shard_rebuilds);
   EXPECT_EQ(a.shard_revalidations, b.shard_revalidations);
+  EXPECT_EQ(a.shard_units_unserved, b.shard_units_unserved);
+  EXPECT_EQ(a.questions_degraded, b.questions_degraded);
+  EXPECT_DOUBLE_EQ(a.latencies.mean(), b.latencies.mean());
+}
+
+TEST(ChaosSoakTest, BrokeredSoakCompletesOrDegradesNeverHangs) {
+  // All of the above chaos through the broker tier: broker crashes,
+  // orphaned in-group workers and unreachable brokers race the host's
+  // re-routing and the deadline.
+  double broker_legs = 0.0;
+  const auto m = soak(chaos_seed(), /*sharded=*/true, /*gray=*/false,
+                      /*brokered=*/true, &broker_legs);
+  EXPECT_EQ(m.submitted, 30u);
+  EXPECT_EQ(m.completed, 30u);
+  EXPECT_EQ(m.latencies.count(), 30u);
+  EXPECT_LE(m.questions_degraded, m.completed);
+  EXPECT_GT(m.crashes, 0u);
+  EXPECT_GT(broker_legs, 0.0);
+}
+
+TEST(ChaosSoakTest, BrokeredSoakReplaysBitIdentically) {
+  const std::uint64_t seed = chaos_seed();
+  double legs_a = 0.0;
+  double legs_b = 0.0;
+  const auto a = soak(seed, true, false, /*brokered=*/true, &legs_a);
+  const auto b = soak(seed, true, false, /*brokered=*/true, &legs_b);
+  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(legs_a, legs_b);
+  EXPECT_EQ(a.legs_lost, b.legs_lost);
+  EXPECT_EQ(a.recovery_legs, b.recovery_legs);
+  EXPECT_EQ(a.legs_unreachable, b.legs_unreachable);
   EXPECT_EQ(a.shard_units_unserved, b.shard_units_unserved);
   EXPECT_EQ(a.questions_degraded, b.questions_degraded);
   EXPECT_DOUBLE_EQ(a.latencies.mean(), b.latencies.mean());

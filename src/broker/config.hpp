@@ -10,6 +10,14 @@
 
 namespace qadist::broker {
 
+/// Backbone connecting the question hosts to the brokers: a faster core
+/// than the subtree LANs, mirroring the fat-tree wiring hierarchical search
+/// clusters use.
+inline constexpr Bandwidth kCoreBandwidth = Bandwidth::from_gbps(1.0);
+
+/// Broker CPU charged per routed question (scoring + routing tables).
+inline constexpr Seconds kRouteCpu = 1e-3;
+
 /// Selective search + broker/mediator tier configuration (`cfg.broker`).
 ///
 /// Two independent axes, both off by default:
@@ -39,14 +47,6 @@ struct BrokerConfig {
 
   /// Absolute shard budget per question; 0 = derive from `selectivity`.
   std::size_t top_k = 0;
-
-  /// Backbone connecting the question hosts to the brokers. Defaults to
-  /// a faster core than the subtree LANs, mirroring the fat-tree wiring
-  /// hierarchical search clusters use.
-  Bandwidth core_bandwidth = Bandwidth::from_gbps(1.0);
-
-  /// Broker CPU charged per routed question (scoring + routing tables).
-  Seconds route_cpu = 1e-3;
 
   /// Per-shard term statistics feeding CORI shard scoring. When absent,
   /// selection falls back to a per-question work proxy (plan unit sizes);

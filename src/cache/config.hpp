@@ -17,6 +17,10 @@ struct BoundedCacheConfig {
   [[nodiscard]] bool enabled() const { return max_entries > 0; }
 };
 
+/// CPU cost of one cache probe on the host (hash + map walk in a real
+/// deployment). Charged per probe, hit or miss.
+inline constexpr Seconds kLookupCpu = 2e-3;
+
 /// Per-node cache plan for the cluster: an answer cache keyed by the
 /// normalized question text (a hit short-circuits the whole QP→PR→PS→PO→AP
 /// pipeline) and a paragraph cache keyed by the same question signature (a
@@ -26,9 +30,6 @@ struct BoundedCacheConfig {
 struct CacheConfig {
   BoundedCacheConfig answers;
   BoundedCacheConfig paragraphs;
-  /// CPU cost of one cache probe on the host (hash + map walk in a real
-  /// deployment). Charged per probe, hit or miss.
-  Seconds lookup_cpu = 2e-3;
 
   [[nodiscard]] bool enabled() const {
     return answers.enabled() || paragraphs.enabled();

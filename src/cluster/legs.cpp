@@ -253,7 +253,7 @@ simnet::SimProcess System::broker_leg(QuestionState& q,
   // grouped shard pools make assign_pr_units in-group by construction),
   // then supervise the group's holders exactly like a sharded PR stage.
   co_await leg.consume(executor.cpu(),
-                       executor.cpu_work(config_.broker.route_cpu));
+                       executor.cpu_work(broker::kRouteCpu));
   if (leg.dead()) co_return;
   PrPolicy policy{*this, q, slot.get(), /*sharded=*/true};
   ScatterGather<PrPolicy> gather(*this, policy, slot->workers, *slot->inner,

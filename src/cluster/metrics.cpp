@@ -111,8 +111,6 @@ Metrics Metrics::from_registry(const obs::MetricsRegistry& registry) {
   out.hedge_losses = counter_value(registry, "hedge_losses");
   out.legs_cancelled = counter_value(registry, "legs_cancelled");
   out.straggler_avoidances = counter_value(registry, "straggler_avoidances");
-  out.detector_hints_suppressed =
-      counter_value(registry, "detector_hints_suppressed");
 
   out.t_qp = histogram_stats(registry, "stage_seconds", {{"stage", "qp"}});
   out.t_pr = histogram_stats(registry, "stage_seconds", {{"stage", "pr"}});

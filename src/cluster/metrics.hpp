@@ -95,7 +95,6 @@ struct Metrics {
   std::size_t hedge_losses = 0;      ///< backups beaten by their primary
   std::size_t legs_cancelled = 0;    ///< tied losers cancelled mid-flight
   std::size_t straggler_avoidances = 0;  ///< placements steered off stragglers
-  std::size_t detector_hints_suppressed = 0;  ///< hints eaten by hysteresis
 
   /// Backup legs as a fraction of primary legs — the hedge overhead the
   /// acceptance bar caps (≤ 15% at the default p95 trigger).

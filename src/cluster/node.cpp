@@ -14,11 +14,11 @@ Node::Node(simnet::Simulation& sim, sched::NodeId id, const NodeConfig& config)
   QADIST_CHECK(config.cpu_speed > 0.0);
   const std::string base = "node" + std::to_string(id);
   cpu_ = std::make_unique<simnet::FairShareServer>(
-      sim, base + ".cpu", config.cpu_cores * config.cpu_speed,
+      sim, base + ".cpu", config.cpu_speed,
       /*max_rate_per_customer=*/config.cpu_speed);
   disk_ = std::make_unique<simnet::FairShareServer>(
-      sim, base + ".disk", config.disk.bytes_per_second,
-      config.disk.bytes_per_second);
+      sim, base + ".disk", kDiskBandwidth.bytes_per_second,
+      kDiskBandwidth.bytes_per_second);
   last_sample_ = sim.now();
 }
 

@@ -9,15 +9,15 @@
 
 namespace qadist::cluster {
 
-/// Hardware of one simulated cluster node, mirroring the paper's testbed:
-/// a single-CPU Pentium III box with a local disk and 256 MB of RAM. The
-/// CPU and disk are fair-share servers — time-sharing under load is what
-/// makes overloaded nodes slow, which is what load balancing exists to
-/// avoid.
-struct NodeConfig {
-  double cpu_cores = 1.0;
-  Bandwidth disk = Bandwidth::from_mbps(250);
+/// Local disk bandwidth of every node.
+inline constexpr Bandwidth kDiskBandwidth = Bandwidth::from_mbps(250);
 
+/// Hardware of one simulated cluster node, mirroring the paper's testbed:
+/// a single-CPU Pentium III box with a local disk (kDiskBandwidth) and
+/// 256 MB of RAM. The CPU and disk are fair-share servers — time-sharing
+/// under load is what makes overloaded nodes slow, which is what load
+/// balancing exists to avoid.
+struct NodeConfig {
   /// Memory-pressure model (paper Sec. 4.2: a question needs 25-40 MB;
   /// with 256 MB per node, more than ~4 simultaneous questions cause
   /// "excessive page swapping"). While more than `memory_slots` questions

@@ -67,11 +67,11 @@ template <class Policy>
 Seconds System::ScatterGather<Policy>::hedge_due(const Slot& s,
                                                  Seconds per_unit) const {
   // The per-unit wall quantile scaled by the units the leg carries,
-  // floored by hedge_min_delay: scaling by the leg's own size is what
+  // floored by kHedgeMinDelay: scaling by the leg's own size is what
   // keeps big-but-healthy legs from tripping the trigger.
   return s.spawned +
          std::max(per_unit * std::max(policy_.hedge_units(s), 1.0),
-                  sys_.config_.tail.hedge_min_delay);
+                  kHedgeMinDelay);
 }
 
 template <class Policy>
@@ -79,7 +79,7 @@ simnet::Task<bool> System::ScatterGather<Policy>::run() {
   while (outstanding_ > 0) {
     // Hedge trigger: wake before the reply timeout when the oldest
     // hedgeable leg crosses the observed leg-wall quantile.
-    Seconds wait = sys_.config_.net.membership_timeout;
+    Seconds wait = kMembershipTimeout;
     bool hedge_wake = false;
     if (policy_.hedging()) {
       if (const auto delay = sys_.hedge_delay(Policy::kStage)) {
@@ -184,7 +184,7 @@ void System::ScatterGather<Policy>::on_unreachable(Slot& s) {
   sys_.ins_.legs_unreachable->inc();
   policy_.note_unreachable();
   sys_.detector_.suspect_hint(s.node, sys_.sim_.now());
-  if (sys_.detector_placement_) sys_.table_.mark_stale(s.node);
+  sys_.table_.mark_stale(s.node);
   sys_.record_event(policy_.coordinator(), peer(s) + " unreachable during " +
                                                policy_.stage());
   // An unreachable backup drops out of its race without recovery: its

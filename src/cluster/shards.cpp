@@ -166,7 +166,7 @@ simnet::SimProcess System::rebuild_process(shard::ShardId shard,
   // idempotent no-op). The source dying mid-copy restarts the copy from
   // the next surviving ready replica.
   const Seconds start = sim_.now();
-  const double bytes = static_cast<double>(config_.shard.shard_bytes);
+  const double bytes = static_cast<double>(shard::kShardBytes);
   const auto target_dead = [&] {
     return node_crashed_[target] != 0 || crash_epoch_[target] != target_epoch;
   };
@@ -194,16 +194,16 @@ simnet::SimProcess System::rebuild_process(shard::ShardId shard,
     if (!delivered) {
       // Retry budget spent: back off one monitor period, then start over
       // (possibly from a different source).
-      co_await simnet::Delay(sim_, config_.net.monitor_period);
+      co_await simnet::Delay(sim_, kMonitorPeriod);
       continue;
     }
     co_await nodes_[target]->disk().consume(bytes);
     if (target_dead() || src_dead()) continue;
 
     // Pacing floor: re-replication is deliberately bandwidth-capped so it
-    // cannot starve foreground retrieval (shard_bytes / rebuild_bandwidth
+    // cannot starve foreground retrieval (kShardBytes / kRebuildBandwidth
     // wall-clock minimum per shard).
-    const Seconds floor = config_.shard.rebuild_bandwidth.transfer_time(bytes);
+    const Seconds floor = shard::kRebuildBandwidth.transfer_time(bytes);
     const Seconds elapsed = sim_.now() - start;
     if (floor > elapsed) {
       co_await simnet::Delay(sim_, floor - elapsed);
@@ -231,10 +231,10 @@ simnet::SimProcess System::revalidate_process(NodeId node, std::size_t epoch) {
   if (shards.empty()) co_return;
   const Seconds start = sim_.now();
   const double bytes =
-      static_cast<double>(config_.shard.shard_bytes) * shards.size();
+      static_cast<double>(shard::kShardBytes) * shards.size();
   co_await nodes_[node]->disk().consume(bytes);
   if (node_crashed_[node] != 0 || crash_epoch_[node] != epoch) co_return;
-  const Seconds floor = config_.shard.rebuild_bandwidth.transfer_time(bytes);
+  const Seconds floor = shard::kRebuildBandwidth.transfer_time(bytes);
   const Seconds elapsed = sim_.now() - start;
   if (floor > elapsed) {
     co_await simnet::Delay(sim_, floor - elapsed);
@@ -258,7 +258,7 @@ void System::publish_shard_stats() {
     const obs::Labels labels{{"node", std::to_string(n)}};
     registry_.gauge("node_storage_bytes", labels)
         .set(static_cast<double>(
-            shard_map_->storage_bytes(n, config_.shard.shard_bytes)));
+            shard_map_->storage_bytes(n, shard::kShardBytes)));
   }
   registry_.gauge("shard_replication")
       .set(static_cast<double>(shard_map_->replication()));

@@ -56,17 +56,23 @@ System::StagePlacement System::place_stage(NodeId host,
   // are currently suspected by the failure detector.
   StagePlacement out = survivors(
       {std::move(ms.selected), std::move(ms.weights)}, host, std::nullopt);
-  if (!config_.partition.enable && out.nodes.size() > 1) {
-    // Partitioning disabled: keep only the heaviest-weighted node.
-    const auto best =
-        std::max_element(out.weights.begin(), out.weights.end()) -
-        out.weights.begin();
-    out = {{out.nodes[static_cast<std::size_t>(best)]}, {1.0}};
-  }
   if (!(out.nodes.size() == 1 && out.nodes[0] == host)) {
     (pr ? ins_.migrations_pr : ins_.migrations_ap)->inc();
   }
   return out;
+}
+
+template <class Policy>
+void System::ScatterGather<Policy>::resplit(
+    const Slot& s, bool crashed, const std::vector<std::size_t>& lost) {
+  const StagePlacement alive =
+      sys_.survivors(policy_.placement, policy_.q.host,
+                     crashed ? std::nullopt : std::optional(s.node));
+  for (const auto& p : policy_.partition(lost.size(), alive.weights)) {
+    typename Policy::Block block;
+    for (const std::size_t j : p.items) block.push_back(lost[j]);
+    respawn(policy_.make_slot(std::move(block)), alive.nodes[p.worker]);
+  }
 }
 
 // ---- PR policy --------------------------------------------------------------
@@ -129,8 +135,7 @@ void System::PrPolicy::place(ScatterGather<PrPolicy>& sg,
     return;
   }
   // SEND ablation: weighted contiguous blocks of sub-collections.
-  for (const auto& p :
-       parallel::partition_send(units.size(), placement.weights)) {
+  for (const auto& p : partition(units.size(), placement.weights)) {
     sg.spawn(make_slot({p.items.begin(), p.items.end()}),
              placement.nodes[p.worker]);
   }
@@ -186,13 +191,7 @@ void System::PrPolicy::recover(ScatterGather<PrPolicy>& sg, PrLegSlot& s,
     sg.requeued();
     return;
   }
-  const StagePlacement alive = sys.survivors(
-      placement, q.host, crashed ? std::nullopt : std::optional(s.node));
-  for (const auto& p : parallel::partition_send(lost.size(), alive.weights)) {
-    std::deque<std::size_t> block;
-    for (const std::size_t j : p.items) block.push_back(lost[j]);
-    sg.respawn(make_slot(std::move(block)), alive.nodes[p.worker]);
-  }
+  sg.resplit(s, crashed, lost);
 }
 
 std::optional<System::Merge> System::PrPolicy::on_reply(const PrLegSlot& s) {
@@ -202,12 +201,11 @@ std::optional<System::Merge> System::PrPolicy::on_reply(const PrLegSlot& s) {
   if (tier != nullptr) {
     tier->done += s.done;
     Node& broker = *sys.nodes_[tier->node];
-    return broker.cpu().consume(
-        broker.cpu_work(sys.config_.shard.partial_merge_cpu));
+    return broker.cpu().consume(broker.cpu_work(shard::kPartialMergeCpu));
   }
   if (!sharded || sys.host_lost(q)) return std::nullopt;
   Node& host = *sys.nodes_[q.host];
-  return host.cpu().consume(host.cpu_work(sys.config_.shard.partial_merge_cpu));
+  return host.cpu().consume(host.cpu_work(shard::kPartialMergeCpu));
 }
 
 bool System::PrPolicy::hedge(ScatterGather<PrPolicy>& sg, std::size_t index) {
@@ -321,14 +319,7 @@ void System::ApPolicy::recover(ScatterGather<ApPolicy>& sg, ApLegSlot& s,
     sg.requeued();
     return;
   }
-  const StagePlacement alive = sys.survivors(
-      placement, q.host, crashed ? std::nullopt : std::optional(s.node));
-  for (const auto& p : partition(lost.size(), alive.weights)) {
-    std::vector<std::size_t> block;
-    block.reserve(p.items.size());
-    for (const std::size_t j : p.items) block.push_back(lost[j]);
-    sg.respawn(make_slot(std::move(block)), alive.nodes[p.worker]);
-  }
+  sg.resplit(s, crashed, lost);
 }
 
 bool System::ApPolicy::hedge(ScatterGather<ApPolicy>& sg, std::size_t index) {
@@ -463,7 +454,7 @@ std::optional<System::Merge> System::BrokerPolicy::on_reply(
   // serial-cost redistribution the tier buys.
   if (sys.host_lost(q)) return std::nullopt;
   Node& host = *sys.nodes_[q.host];
-  return host.cpu().consume(host.cpu_work(sys.config_.shard.partial_merge_cpu));
+  return host.cpu().consume(host.cpu_work(shard::kPartialMergeCpu));
 }
 
 void System::BrokerPolicy::orphan(BrokerSlot& s) {
@@ -475,62 +466,17 @@ void System::BrokerPolicy::orphan(BrokerSlot& s) {
   }
 }
 
-simnet::SimProcess System::question_process(const QuestionPlan& plan,
+simnet::Task<NodeId> System::place_question(const QuestionState& q,
                                             NodeId dns_node,
-                                            Seconds arrived) {
-  QuestionState q;
-  q.plan = &plan;
-  // Latency is measured from the arrival instant: a question that waited
-  // in the admission queue pays that wait in its response time (and
-  // against its deadline budget). Without admission control arrived is
-  // always now().
-  q.submitted = arrived;
-  if (config_.net.reliability.question_deadline > 0.0) {
-    q.deadline = q.submitted + config_.net.reliability.question_deadline;
-  }
+                                            const std::string& cache_key) {
+  const QuestionPlan& plan = *q.plan;
   NodeId host = dns_node;
-  std::size_t restarts = 0;
-
-  // Cache identity of this question: the normalized text is the cache key
-  // on every node, and its signature drives the affinity dispatch. Empty
-  // key <=> caching off, so the uncached path stays byte-identical.
-  const bool cache_on = !caches_.empty();
-  const std::string cache_key =
-      cache_on ? cache::normalize_question(plan.source.text) : std::string();
-  bool served_from_cache = false;  // answered by an answer-cache hit
-
-  // Selective search: which PR units (and, scaled, AP candidates) this
-  // question touches. Computed lazily at most once per question — the
-  // selection counters must not double-count across host-crash restarts,
-  // and answer-cache hits must not count at all. With selection off this
-  // is the identity and the question is byte-identical to the flat path.
-  std::optional<SelectionResult> selection;
-  const auto ensure_selection = [&]() -> const SelectionResult& {
-    if (!selection.has_value()) selection = select_pr_units(plan);
-    return *selection;
-  };
-
-  // One span per question lifetime; stage spans nest under it on the same
-  // track, PR/AP legs fork onto their own tracks.
-  std::uint64_t q_track = 0;
-  obs::SpanId q_span = obs::kNoSpan;
-  if (tracer_ != nullptr) {
-    q_track = tracer_->new_track();
-    q_span = tracer_->begin_span(
-        sim_.now(), "question", dns_node, q_track, obs::kNoSpan,
-        {{"question", static_cast<std::int64_t>(plan.source.id)},
-         {"policy", std::string(to_string(config_.dispatch.policy))}});
-  }
-
   // The DNS front-end may hand a question to a node that has left the
   // pool or crashed (its A record outlives the membership): reroute to the
   // least loaded live member, regardless of policy.
   if (!table_.is_member(host) || node_crashed_[host] != 0) {
     host = pick_live(sched::kQaWeights);
   }
-
-  // ---- Scheduling point 1 (first placement only; a retry after a host
-  // crash goes straight to the least-loaded live node instead).
   std::optional<NodeId> move_to;
   if (config_.dispatch.policy == Policy::kTwoChoice) {
     // Power-of-two-choices: sample two members, keep the lighter.
@@ -552,7 +498,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     // likely to hold its cached answer) unless that node is overloaded or
     // gone — then the paper's load-based rule decides as usual.
     std::optional<NodeId> preferred;
-    if (cache_on && config_.dispatch.cache_affinity) {
+    if (!caches_.empty() && config_.dispatch.cache_affinity) {
       preferred = affinity_target(cache::question_signature(cache_key));
     }
     const auto decision =
@@ -581,6 +527,119 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     }
   }
   if (node_crashed_[host] != 0) host = pick_live(sched::kQaWeights);
+  co_return host;
+}
+
+simnet::Task<System::CacheProbe> System::probe_caches(
+    const QuestionState& q, const std::string& cache_key) {
+  const Seconds t0 = sim_.now();
+  Node& host = *nodes_[q.host];
+  co_await host.cpu().consume(host.cpu_work(cache::kLookupCpu));
+  CacheProbe hit;
+  if (!host_lost(q)) {
+    NodeCaches& shard = *caches_[q.host];
+    if (config_.cache.answers.enabled()) {
+      hit.answer = shard.answers.find(cache_key, sim_.now()) != nullptr;
+      (hit.answer ? ins_.cache_hits : ins_.cache_misses)->inc();
+    }
+    if (!hit.answer && config_.cache.paragraphs.enabled()) {
+      hit.paragraphs = shard.paragraphs.find(cache_key, sim_.now()) != nullptr;
+      (hit.paragraphs ? ins_.pr_cache_hits : ins_.pr_cache_misses)->inc();
+    }
+  }
+  if (tracer_ != nullptr) {
+    // Recorded retroactively so a crash mid-probe leaves no dangling
+    // span; the lookup is pure CPU, so begin+end brackets it exactly.
+    const obs::SpanId sp = tracer_->begin_span(
+        t0, "cache lookup", q.host, q.track, q.span,
+        {{"answer_hit", std::int64_t{hit.answer ? 1 : 0}},
+         {"paragraph_hit", std::int64_t{hit.paragraphs ? 1 : 0}}});
+    tracer_->end_span(sp, sim_.now());
+  }
+  co_return hit;
+}
+
+simnet::Task<bool> System::host_step(QuestionState& q, const char* name,
+                                     Seconds cpu, double& elapsed) {
+  const Seconds t0 = sim_.now();
+  obs::SpanId span = obs::kNoSpan;
+  if (tracer_ != nullptr && name != nullptr) {
+    span = tracer_->begin_span(t0, name, q.host, q.track, q.span);
+  }
+  Node& host = *nodes_[q.host];
+  co_await host.cpu().consume(host.cpu_work(cpu));
+  elapsed = sim_.now() - t0;
+  close_span(span, {});
+  co_return !host_lost(q);
+}
+
+template <class Policy, class MakeAttrs, class... Units>
+simnet::Task<bool> System::run_stage(QuestionState& q, Policy& policy,
+                                     const char* name, MakeAttrs make_attrs,
+                                     double& elapsed, Units... units) {
+  const Seconds start = sim_.now();
+  obs::SpanId span = obs::kNoSpan;
+  if (tracer_ != nullptr) {
+    span = tracer_->begin_span(start, name, q.host, q.track, q.span,
+                               make_attrs());
+  }
+  simnet::Mailbox<std::size_t> reports(sim_);
+  std::vector<std::shared_ptr<typename Policy::Slot>> slots;
+  ScatterGather<Policy> gather(*this, policy, slots, reports, span);
+  policy.place(gather, units...);
+  co_await gather.run();
+  elapsed = sim_.now() - start;
+  close_span(span, {});
+  co_return !host_lost(q);
+}
+
+simnet::SimProcess System::question_process(const QuestionPlan& plan,
+                                            NodeId dns_node,
+                                            Seconds arrived) {
+  QuestionState q;
+  q.plan = &plan;
+  // Latency is measured from the arrival instant: a question that waited
+  // in the admission queue pays that wait in its response time (and
+  // against its deadline budget). Without admission control arrived is
+  // always now().
+  q.submitted = arrived;
+  if (config_.net.reliability.question_deadline > 0.0) {
+    q.deadline = q.submitted + config_.net.reliability.question_deadline;
+  }
+  std::size_t restarts = 0;
+
+  // Cache identity of this question: the normalized text is the cache key
+  // on every node, and its signature drives the affinity dispatch. Empty
+  // key <=> caching off.
+  const bool cache_on = !caches_.empty();
+  const std::string cache_key =
+      cache_on ? cache::normalize_question(plan.source.text) : std::string();
+  bool served_from_cache = false;  // answered by an answer-cache hit
+
+  // Selective search: which PR units (and, scaled, AP candidates) this
+  // question touches. Computed lazily at most once per question — the
+  // selection counters must not double-count across host-crash restarts,
+  // and answer-cache hits must not count at all. With selection off this
+  // is the identity.
+  std::optional<SelectionResult> selection;
+  const auto ensure_selection = [&]() -> const SelectionResult& {
+    if (!selection.has_value()) selection = select_pr_units(plan);
+    return *selection;
+  };
+
+  // One span per question lifetime; stage spans nest under it on the same
+  // track, PR/AP legs fork onto their own tracks.
+  if (tracer_ != nullptr) {
+    q.track = tracer_->new_track();
+    q.span = tracer_->begin_span(
+        sim_.now(), "question", dns_node, q.track, obs::kNoSpan,
+        {{"question", static_cast<std::int64_t>(plan.source.id)},
+         {"policy", std::string(to_string(config_.dispatch.policy))}});
+  }
+
+  // ---- Scheduling point 1 (first placement only; a retry after a host
+  // crash goes straight to the least-loaded live node instead).
+  NodeId host = co_await place_question(q, dns_node, cache_key);
 
   // ---- Attempt loop: one pass per host. A host crash loses the question
   // (its state dies with the process); after the front-end's reply timeout
@@ -589,7 +648,6 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     q.host = host;
     q.host_epoch = crash_epoch_[host];
     q.degraded = false;  // a restarted attempt recomputes everything
-    const auto host_dead = [&] { return host_lost(q); };
     bool failed = false;
 
     nodes_[host]->question_arrived();
@@ -608,63 +666,30 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
 
     // ---- Cache probe (before QP): an answer hit short-circuits the whole
     // QP->PR->PS->PO->AP pipeline; a paragraph hit on answer miss still
-    // skips the disk-bound PR stage. The probe itself costs lookup_cpu on
-    // the host's CPU, hit or miss.
+    // skips the disk-bound PR stage.
     bool cached_paragraphs = false;
     if (cache_on) {
-      const Seconds t0 = sim_.now();
-      co_await nodes_[host]->cpu().consume(
-          nodes_[host]->cpu_work(config_.cache.lookup_cpu));
-      failed = host_dead();
-      bool cached_answer = false;
-      if (!failed) {
-        NodeCaches& shard = *caches_[host];
-        if (config_.cache.answers.enabled()) {
-          cached_answer = shard.answers.find(cache_key, sim_.now()) != nullptr;
-          (cached_answer ? ins_.cache_hits : ins_.cache_misses)->inc();
-        }
-        if (!cached_answer && config_.cache.paragraphs.enabled()) {
-          cached_paragraphs =
-              shard.paragraphs.find(cache_key, sim_.now()) != nullptr;
-          (cached_paragraphs ? ins_.pr_cache_hits : ins_.pr_cache_misses)
-              ->inc();
-        }
-      }
-      if (tracer_ != nullptr) {
-        // Recorded retroactively so a crash mid-probe leaves no dangling
-        // span; the lookup is pure CPU, so begin+end brackets it exactly.
-        const obs::SpanId sp = tracer_->begin_span(
-            t0, "cache lookup", host, q_track, q_span,
-            {{"answer_hit", std::int64_t{cached_answer ? 1 : 0}},
-             {"paragraph_hit", std::int64_t{cached_paragraphs ? 1 : 0}}});
-        tracer_->end_span(sp, sim_.now());
-      }
-      if (!failed && cached_answer) {
+      const CacheProbe hit = co_await probe_caches(q, cache_key);
+      failed = host_lost(q);
+      if (!failed && hit.answer) {
         record_event(host, "question " + std::to_string(plan.source.id) +
                                " answered from cache");
         served_from_cache = true;
         break;
       }
+      cached_paragraphs = hit.paragraphs;
     }
 
     // ---- QP (sequential, on the host).
     if (!failed) {
-      const Seconds t0 = sim_.now();
-      obs::SpanId sp = tracer_ != nullptr ? tracer_->begin_span(
-                                               t0, "QP", host, q_track, q_span)
-                                         : obs::kNoSpan;
-      co_await nodes_[host]->cpu().consume(
-          nodes_[host]->cpu_work(plan.qp.cpu_seconds));
-      failed = host_dead();
-      q.t_qp = sim_.now() - t0;
-      close_span(sp, {});
+      failed = !co_await host_step(q, "QP", plan.qp.cpu_seconds, q.t_qp);
     }
 
     // ---- Scheduling point 2: the PR dispatcher (DQA only). Skipped
     // entirely on a paragraph-cache hit: the accepted, scored paragraphs
     // are already on the host's disk from a previous run of this question.
     if (!failed && !cached_paragraphs) {
-      const SelectionResult& sel = ensure_selection();
+      const std::span<const std::size_t> units = ensure_selection().units;
       // Replica-aware mode (R < nodes): placement is constrained to ready
       // replica holders, so the scatter is computed per unit by
       // assign_pr_units instead of the unconstrained meta-schedule.
@@ -676,48 +701,26 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
           !shard_partial_ &&
           (config_.partition.pr_strategy == Strategy::kRecv ||
            policy.placement.nodes.size() == 1);
-
-      // ---- PR stage with supervision (see ScatterGather).
-      const Seconds pr_start = sim_.now();
-      obs::SpanId pr_span = obs::kNoSpan;
-      if (tracer_ != nullptr) {
-        pr_span = tracer_->begin_span(
-            pr_start, "PR", host, q_track, q_span,
-            {{"legs", static_cast<std::int64_t>(policy.placement.nodes.size())},
-             {"units", static_cast<std::int64_t>(sel.units.size())}});
-      }
-      simnet::Mailbox<std::size_t> reports(sim_);
+      const auto attrs = [&] {
+        return obs::Attrs{
+            {"legs", static_cast<std::int64_t>(policy.placement.nodes.size())},
+            {"units", static_cast<std::int64_t>(units.size())}};
+      };
       if (topology_.has_value()) {
         // Broker tier: the host routes per-group slices through mediator
         // nodes instead of fanning out to every holder itself.
         BrokerPolicy brokers{*this, q};
-        std::vector<std::shared_ptr<BrokerSlot>> slots;
-        ScatterGather<BrokerPolicy> gather(*this, brokers, slots, reports,
-                                           pr_span);
-        brokers.place(gather, sel.units);
-        co_await gather.run();
+        failed = !co_await run_stage(q, brokers, "PR", attrs, q.t_pr_stage,
+                                     units);
       } else {
-        std::vector<std::shared_ptr<PrLegSlot>> slots;
-        ScatterGather<PrPolicy> gather(*this, policy, slots, reports, pr_span);
-        policy.place(gather, sel.units);
-        co_await gather.run();
+        failed = !co_await run_stage(q, policy, "PR", attrs, q.t_pr_stage,
+                                     units);
       }
-      q.t_pr_stage = sim_.now() - pr_start;
-      if (pr_span != obs::kNoSpan) tracer_->end_span(pr_span, sim_.now());
-      failed = host_dead();
     }
 
     // ---- PO (sequential and centralized, on the host).
     if (!failed) {
-      const Seconds t0 = sim_.now();
-      obs::SpanId sp = tracer_ != nullptr ? tracer_->begin_span(
-                                               t0, "PO", host, q_track, q_span)
-                                         : obs::kNoSpan;
-      co_await nodes_[host]->cpu().consume(
-          nodes_[host]->cpu_work(plan.po.cpu_seconds));
-      failed = host_dead();
-      q.t_po = sim_.now() - t0;
-      close_span(sp, {});
+      failed = !co_await host_step(q, "PO", plan.po.cpu_seconds, q.t_po);
       if (!failed) {
         record_event(host, "accepted " +
                                std::to_string(plan.accepted_paragraphs) +
@@ -730,41 +733,23 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
       // Covers the paragraph-cache-hit path, where the PR stage (and its
       // ensure_selection call) was skipped: AP still processes only the
       // candidates the selected sub-collections would have produced.
-      const std::size_t ap_count = ensure_selection().ap_count;
-      ApPolicy policy{*this, q, ap_count};
+      ApPolicy policy{*this, q, ensure_selection().ap_count};
       policy.placement = place_stage(host, sched::LegStage::kAp);
       policy.shared_queue =
           config_.partition.ap_strategy == Strategy::kRecv ||
           policy.placement.nodes.size() == 1;
-
-      // ---- AP stage with supervision (see ScatterGather).
-      const Seconds ap_start = sim_.now();
-      obs::SpanId ap_span = obs::kNoSpan;
-      if (tracer_ != nullptr) {
-        ap_span = tracer_->begin_span(
-            ap_start, "AP", host, q_track, q_span,
-            {{"legs", static_cast<std::int64_t>(policy.placement.nodes.size())},
-             {"paragraphs", static_cast<std::int64_t>(ap_count)}});
-      }
-      {
-        simnet::Mailbox<std::size_t> reports(sim_);
-        std::vector<std::shared_ptr<ApLegSlot>> slots;
-        ScatterGather<ApPolicy> gather(*this, policy, slots, reports, ap_span);
-        policy.place(gather);
-        co_await gather.run();
-      }
-      q.t_ap_stage = sim_.now() - ap_start;
-      if (ap_span != obs::kNoSpan) tracer_->end_span(ap_span, sim_.now());
-      failed = host_dead();
+      const auto attrs = [&] {
+        return obs::Attrs{
+            {"legs", static_cast<std::int64_t>(policy.placement.nodes.size())},
+            {"paragraphs", static_cast<std::int64_t>(policy.paragraphs)}};
+      };
+      failed = !co_await run_stage(q, policy, "AP", attrs, q.t_ap_stage);
     }
 
     // ---- Answer merging + sorting (host).
     if (!failed) {
-      const Seconds t0 = sim_.now();
-      co_await nodes_[host]->cpu().consume(
-          nodes_[host]->cpu_work(plan.answer_sort.cpu_seconds));
-      failed = host_dead();
-      q.oh_answer_sort = sim_.now() - t0;
+      failed = !co_await host_step(q, nullptr, plan.answer_sort.cpu_seconds,
+                                   q.oh_answer_sort);
     }
 
     if (!failed) {
@@ -778,7 +763,7 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     // Host crash: everything this attempt computed died with it (no
     // question_departed — the crash already zeroed the residents). The
     // front-end notices after its reply timeout and resubmits.
-    const Seconds detect = crash_time_[host] + config_.net.membership_timeout;
+    const Seconds detect = crash_time_[host] + kMembershipTimeout;
     if (detect > sim_.now()) {
       co_await simnet::Delay(sim_, detect - sim_.now());
     }
@@ -832,17 +817,12 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     ins_.oh_answer_receive->observe(q.oh_answer_receive);
     ins_.oh_answer_sort->observe(q.oh_answer_sort);
   }
-  if (q_span != obs::kNoSpan) {
-    obs::Attrs attrs{
-        {"latency_seconds", latency},
-        {"restarts", static_cast<std::int64_t>(restarts)},
-        {"cached", std::int64_t{served_from_cache ? 1 : 0}}};
-    // Only stamp the degraded flag when the fault layer is active so traces
-    // from fault-free runs stay byte-identical with pre-fault builds.
-    if (injector_ != nullptr) {
-      attrs.emplace_back("degraded", std::int64_t{q.degraded ? 1 : 0});
-    }
-    tracer_->end_span(q_span, sim_.now(), std::move(attrs));
+  if (q.span != obs::kNoSpan) {
+    tracer_->end_span(q.span, sim_.now(),
+                      {{"latency_seconds", latency},
+                       {"restarts", static_cast<std::int64_t>(restarts)},
+                       {"cached", std::int64_t{served_from_cache ? 1 : 0}},
+                       {"degraded", std::int64_t{q.degraded ? 1 : 0}}});
   }
   ins_.completed->inc();
   if (config_.admission.enabled()) finish_admitted();

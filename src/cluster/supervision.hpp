@@ -35,6 +35,10 @@ struct System::QuestionState {
   sched::NodeId host = 0;
   std::size_t host_epoch = 0;  // crash_epoch_[host] when the attempt began
   Seconds submitted = 0.0;
+  /// The question span and its track; the host's stage spans nest under
+  /// it (kNoSpan while tracing is off).
+  obs::SpanId span = obs::kNoSpan;
+  std::uint64_t track = 0;
 
   // Stage timings (paper Table 8 columns).
   double t_qp = 0.0;
@@ -290,6 +294,12 @@ class System::ScatterGather {
     }
   }
 
+  /// Re-splits a lost SEND/ISEND block over the stage's survivors (never
+  /// the unreachable leg's own node; the host when none is left) and
+  /// respawns one leg per part. PR and AP only (stages.cpp).
+  void resplit(const Slot& s, bool crashed,
+               const std::vector<std::size_t>& lost);
+
   /// Supervises until every leg reported, was declared dead, or was
   /// abandoned. Resolves false when the coordinator itself died.
   simnet::Task<bool> run();
@@ -323,6 +333,7 @@ class System::ScatterGather {
 /// merged on the broker's CPU.
 struct System::PrPolicy {
   using Slot = PrLegSlot;
+  using Block = std::deque<std::size_t>;
   static constexpr sched::LegStage kStage = sched::LegStage::kPr;
 
   System& sys;
@@ -370,13 +381,18 @@ struct System::PrPolicy {
   [[nodiscard]] const char* peer_kind() const { return ""; }
   void orphan(PrLegSlot&) {}
   void note_unreachable() {}
+  std::shared_ptr<PrLegSlot> make_slot(Block block) {
+    return make_slot(std::make_shared<Block>(std::move(block)));
+  }
+  /// The SEND split of `count` units (RECV legs share one queue instead).
+  [[nodiscard]] static std::vector<parallel::Partition> partition(
+      std::size_t count, const std::vector<double>& weights) {
+    return parallel::partition_send(count, weights);
+  }
 
  private:
   std::shared_ptr<PrLegSlot> make_slot(
       std::shared_ptr<std::deque<std::size_t>> units);
-  std::shared_ptr<PrLegSlot> make_slot(std::deque<std::size_t> block) {
-    return make_slot(std::make_shared<std::deque<std::size_t>>(std::move(block)));
-  }
   /// Gives up on `units`: the broker slot's unserved count in-subtree, a
   /// degraded answer otherwise (`unplaced`: no replica could serve them).
   void drop(std::span<const std::size_t> units, bool unplaced);
@@ -396,6 +412,7 @@ struct System::PrPolicy {
 /// AP over a RECV chunk queue or a SEND/ISEND partition of the pool.
 struct System::ApPolicy {
   using Slot = ApLegSlot;
+  using Block = std::vector<std::size_t>;
   static constexpr sched::LegStage kStage = sched::LegStage::kAp;
 
   System& sys;
@@ -435,10 +452,8 @@ struct System::ApPolicy {
   [[nodiscard]] const char* peer_kind() const { return ""; }
   void orphan(ApLegSlot&) {}
   void note_unreachable() {}
-
- private:
   static std::shared_ptr<ApLegSlot> make_slot(
-      std::vector<std::size_t> units,
+      Block units,
       std::shared_ptr<std::deque<parallel::Chunk>> chunks = nullptr);
   /// The stage's SEND or ISEND split of `count` paragraphs.
   [[nodiscard]] std::vector<parallel::Partition> partition(

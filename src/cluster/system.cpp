@@ -52,16 +52,10 @@ System::System(simnet::Simulation& sim, const SystemConfig& config)
         config.net.faults, config.seed ^ 0x94d049bb133111ebULL);
     network_->set_fault_injector(injector_.get());
   }
-  sched::FailureDetectorConfig detector_config{
-      config.net.monitor_period, config.net.suspect_after_missed,
-      config.net.membership_timeout};
-  detector_config.hint_hysteresis = config.net.hint_hysteresis;
-  detector_ = sched::FailureDetector(detector_config);
-  detector_placement_ =
-      config.net.detector_placement || config.net.faults.enabled();
+  detector_ = sched::FailureDetector(sched::FailureDetectorConfig{
+      kMonitorPeriod, config.net.suspect_after_missed, kMembershipTimeout});
   if (config.tail.enabled()) {
-    leg_latency_ =
-        sched::LegLatencyTracker(config.nodes, config.tail.ewma_alpha);
+    leg_latency_ = sched::LegLatencyTracker(config.nodes, kEwmaAlpha);
   }
   if (config.gray.enabled()) {
     gray_extra_latency_.assign(config.nodes, 0.0);
@@ -116,8 +110,7 @@ System::System(simnet::Simulation& sim, const SystemConfig& config)
     // LAN) plus a core backbone between groups. The flat network_ keeps
     // serving runs without the tier; link_for() picks per transfer.
     core_link_ = std::make_unique<simnet::Link>(
-        sim, "core", config.broker.core_bandwidth,
-        config.net.per_message_overhead);
+        sim, "core", broker::kCoreBandwidth, config.net.per_message_overhead);
     subtree_links_.reserve(config.broker.brokers);
     for (std::size_t g = 0; g < config.broker.brokers; ++g) {
       subtree_links_.push_back(std::make_unique<simnet::Link>(
@@ -302,12 +295,12 @@ void System::observe_leg(sched::LegStage stage, NodeId node, Seconds wall,
 std::optional<Seconds> System::hedge_delay(sched::LegStage stage) const {
   const std::vector<double>& walls =
       leg_walls_[static_cast<std::size_t>(stage)];
-  if (walls.size() < config_.tail.hedge_min_samples) return std::nullopt;
+  if (walls.size() < kHedgeMinSamples) return std::nullopt;
   // Quantile over the completed-leg per-unit walls observed so far (the
   // live analogue of the "issue the backup after the p95" rule).
   // nth_element on a scratch copy: O(n) per dispatch round, and the
   // observation order is deterministic so the trigger is too. Callers
-  // scale by the waiting leg's unit count and apply hedge_min_delay.
+  // scale by the waiting leg's unit count and apply kHedgeMinDelay.
   std::vector<double> scratch = walls;
   const double q = std::clamp(config_.tail.hedge_quantile, 0.0, 1.0);
   const auto nth = static_cast<std::ptrdiff_t>(
@@ -318,7 +311,7 @@ std::optional<Seconds> System::hedge_delay(sched::LegStage stage) const {
 
 std::span<const char> System::straggler_mask(sched::LegStage stage) {
   if (!config_.tail.latency_aware) return {};
-  if (!leg_latency_.straggler_mask(stage, config_.tail.straggler_ratio,
+  if (!leg_latency_.straggler_mask(stage, kStragglerRatio,
                                    straggler_scratch_)) {
     return {};
   }
@@ -327,9 +320,8 @@ std::span<const char> System::straggler_mask(sched::LegStage stage) {
 }
 
 bool System::schedulable(NodeId node) const {
-  if (node_crashed_[node] != 0) return false;
-  if (!detector_placement_) return true;
-  return detector_.state(node) == sched::PeerState::kAlive;
+  return node_crashed_[node] == 0 &&
+         detector_.state(node) == sched::PeerState::kAlive;
 }
 
 bool System::deadline_exceeded(const QuestionState& q) const {
@@ -361,34 +353,24 @@ simnet::Task<bool> System::ship(double bytes, NodeId src, NodeId dst,
     co_await simnet::Delay(sim_, gray_extra);
     if (cost != nullptr) cost->transfer += sim_.now() - g0;
   }
-  if (injector_ == nullptr) {
-    // Reliable link: exactly the transfer() event sequence, so fault-free
-    // runs stay bit-identical to builds without this layer (link_for is
-    // the flat LAN whenever the broker tier is off).
-    const Seconds t0 = sim_.now();
-    co_await link_for(src, dst).transfer(bytes);
-    if (cost != nullptr) cost->transfer += sim_.now() - t0;
-    co_return true;
-  }
-  const ReliabilityConfig& rel = config_.net.reliability;
   // One idempotency token per logical message: however many frames the
   // retries and link-level duplications put on the wire, the receiver
   // processes the sequence number once and discards the rest (the link
   // folds the duplicate tally into net_dedup_dropped at the end of the
   // run). The token also keeps redeliveries observable in sim traces.
   [[maybe_unused]] const std::uint64_t seq = next_msg_seq_++;
-  Seconds backoff = rel.backoff_base;
+  Seconds backoff = kBackoffBase;
   for (std::size_t attempt = 0;; ++attempt) {
     const Seconds t0 = sim_.now();
     const simnet::LinkVerdict verdict =
         co_await link_for(src, dst).send(bytes, src, dst);
     if (cost != nullptr) cost->transfer += sim_.now() - t0;
     if (verdict.delivered) co_return true;
-    if (attempt >= rel.max_retries) break;
+    if (attempt >= kMaxRetries) break;
     if (deadline > 0.0 && sim_.now() >= deadline) break;
     ins_.net_retries->inc();
-    const Seconds wait = std::min(backoff, rel.backoff_max) *
-                         (1.0 + rel.backoff_jitter * net_rng_.uniform01());
+    const Seconds wait = std::min(backoff, kBackoffMax) *
+                         (1.0 + kBackoffJitter * net_rng_.uniform01());
     backoff *= 2.0;
     const Seconds b0 = sim_.now();
     co_await simnet::Delay(sim_, wait);
@@ -401,9 +383,8 @@ simnet::Task<bool> System::ship(double bytes, NodeId src, NodeId dst,
 std::optional<NodeId> System::least_loaded(const sched::LoadWeights& weights,
                                            std::optional<NodeId> exclude,
                                            std::span<const char> avoid) const {
-  // With the detector driving placement every member may be a suspect — a
-  // suspect still beats an arbitrary fallback node, and an avoided member
-  // beats none at all.
+  // Every member may be a suspect — a suspect still beats an arbitrary
+  // fallback node, and an avoided member beats none at all.
   for (const bool allow_avoided : {false, true}) {
     for (const bool allow_suspect : {false, true}) {
       std::optional<NodeId> best;
@@ -536,7 +517,6 @@ void System::publish_net_stats() {
   fold("detector_false_alarms", detector_.suspicions_cleared());
   fold("detector_deaths", detector_.deaths_confirmed());
   fold("detector_rejoins", detector_.rejoins());
-  fold("detector_hints_suppressed", detector_.hints_suppressed());
   const double completed = ins_.completed->value();
   registry_.gauge("degraded_answer_fraction")
       .set(completed > 0.0 ? ins_.questions_degraded->value() / completed
@@ -562,7 +542,7 @@ simnet::SimProcess System::monitor_process(Node& node) {
     }
     const double alpha =
         config_.net.load_smoothing_tau > 0.0
-            ? 1.0 - std::exp(-config_.net.monitor_period /
+            ? 1.0 - std::exp(-kMonitorPeriod /
                              config_.net.load_smoothing_tau)
             : 1.0;
     ema.cpu += alpha * (sample.cpu - ema.cpu);
@@ -577,8 +557,8 @@ simnet::SimProcess System::monitor_process(Node& node) {
       // event-for-event as before.
       const simnet::LinkVerdict verdict =
           co_await link_for(node.id(), node.id())
-              .send(static_cast<double>(config_.net.load_packet_bytes),
-                    node.id(), simnet::kBroadcastNode);
+              .send(static_cast<double>(kLoadPacketBytes), node.id(),
+                    simnet::kBroadcastNode);
       if (verdict.delivered && topology_.has_value() &&
           topology_->broker_node(topology_->group_of_node(node.id())) ==
               node.id()) {
@@ -587,13 +567,13 @@ simnet::SimProcess System::monitor_process(Node& node) {
         // One relay frame per period per broker; a lost relay only delays
         // freshness until the next period, so it is not retried.
         const simnet::LinkVerdict relay = co_await core_link_->send(
-            static_cast<double>(config_.net.load_packet_bytes), node.id(),
+            static_cast<double>(kLoadPacketBytes), node.id(),
             simnet::kBroadcastNode);
         if (relay.delivered) ins_.broker_load_relays->inc();
       }
       if (verdict.delivered) {
         const auto before = detector_.heartbeat(node.id(), sim_.now());
-        if (before == sched::PeerState::kDead && detector_placement_) {
+        if (before == sched::PeerState::kDead) {
           // A peer confirmed dead and now heard from again went through an
           // unobserved outage (a graceful leave + rejoin looks the same
           // from here). Its cache shards may hold entries the rest of the
@@ -614,14 +594,10 @@ simnet::SimProcess System::monitor_process(Node& node) {
                       /*reservation_keep=*/1.0 - alpha);
       }
     }
-    table_.expire(sim_.now(), config_.net.membership_timeout);
-    // Missed-beat sweep. The detector always counts lifecycle transitions
-    // (observability), but only drives placement — stale load entries,
-    // early removal of confirmed-dead peers — when the fault layer (or the
-    // explicit flag) turned detector placement on, so crash-only runs keep
-    // their timeout-only behavior bit-for-bit.
+    table_.expire(sim_.now(), kMembershipTimeout);
+    // Missed-beat sweep: a suspect's load entry goes stale, a confirmed
+    // death leaves the table at once.
     for (const sched::DetectorTransition& t : detector_.sweep(sim_.now())) {
-      if (!detector_placement_) continue;
       table_.mark_stale(t.node, t.to == sched::PeerState::kSuspect);
       if (t.to == sched::PeerState::kDead) table_.remove(t.node);
       record_event(t.node,
@@ -630,7 +606,7 @@ simnet::SimProcess System::monitor_process(Node& node) {
                    {{"kind", std::string("detector_transition")},
                     {"to", std::string(sched::to_string(t.to))}});
     }
-    co_await simnet::Delay(sim_, config_.net.monitor_period);
+    co_await simnet::Delay(sim_, kMonitorPeriod);
   }
 }
 

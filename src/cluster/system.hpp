@@ -63,26 +63,36 @@ struct FaultPlan {
   [[nodiscard]] bool enabled() const { return !crashes.empty() || mtbf > 0.0; }
 };
 
+/// Send attempts beyond the first before a peer is declared unreachable.
+inline constexpr std::size_t kMaxRetries = 3;
+/// First retry waits kBackoffBase, doubling per attempt up to kBackoffMax,
+/// each scaled by (1 + kBackoffJitter * U[0,1)) to de-synchronize competing
+/// retriers.
+inline constexpr Seconds kBackoffBase = 0.05;
+inline constexpr Seconds kBackoffMax = 1.0;
+inline constexpr double kBackoffJitter = 0.5;
+
 /// Reliability envelope for cluster RPCs over an unreliable link: bounded
-/// retries with exponential backoff + jitter, and an optional per-question
-/// deadline budget. Every send carries an idempotent sequence number, so a
-/// duplicated frame or a retry of one whose ack was lost is deduplicated at
-/// the receiver rather than processed twice.
+/// retries (kMaxRetries) with exponential backoff + jitter, and an optional
+/// per-question deadline budget. Every send carries an idempotent sequence
+/// number, so a duplicated frame or a retry of one whose ack was lost is
+/// deduplicated at the receiver rather than processed twice.
 struct ReliabilityConfig {
-  /// Send attempts beyond the first before a peer is declared unreachable.
-  std::size_t max_retries = 3;
-  /// First retry waits backoff_base, doubling per attempt up to
-  /// backoff_max, each scaled by (1 + backoff_jitter * U[0,1)) to
-  /// de-synchronize competing retriers.
-  Seconds backoff_base = 0.05;
-  Seconds backoff_max = 1.0;
-  double backoff_jitter = 0.5;
   /// Per-question time budget measured from submission. Once exceeded, the
   /// coordinator stops re-partitioning lost work and finishes with what it
   /// has, flagging the answer `degraded`. 0 disables the budget (recovery
-  /// never gives up — matches the crash-only behavior of earlier builds).
+  /// never gives up).
   Seconds question_deadline = 0.0;
 };
+
+/// Size of one load broadcast on the wire.
+inline constexpr std::size_t kLoadPacketBytes = 64;
+/// Load-monitor period: every node broadcasts its load (and so heartbeats)
+/// once a second (paper Sec. 3.1).
+inline constexpr Seconds kMonitorPeriod = 1.0;
+/// Silence after which a peer leaves the load table, the failure detector
+/// confirms it dead, and a coordinator's reply timeout fires.
+inline constexpr Seconds kMembershipTimeout = 3.0;
 
 /// Shared-segment network and cluster-monitoring knobs.
 struct NetworkConfig {
@@ -91,9 +101,6 @@ struct NetworkConfig {
   /// Fixed cost of every remote transfer (TCP connection setup, RPC
   /// framing) on top of the bandwidth-shared byte time.
   Seconds per_message_overhead = 2e-3;
-  std::size_t load_packet_bytes = 64;
-  Seconds monitor_period = 1.0;
-  Seconds membership_timeout = 3.0;
   /// Time constant for exponentially-damped load averages (the kernel
   /// loadavg the paper's monitors read is damped the same way). A Q/A task
   /// alternates disk-bound (PR) and CPU-bound (AP) phases tens of seconds
@@ -103,28 +110,15 @@ struct NetworkConfig {
   Seconds load_smoothing_tau = 30.0;
 
   /// Link-level fault plan (drops, jitter, duplication, partitions).
-  /// Disabled by default: fault-free runs are bit-identical to builds
-  /// without the fault layer.
+  /// Disabled by default.
   simnet::LinkFaultPlan faults;
   /// Retry/backoff/deadline envelope, effective once `faults` is enabled.
   ReliabilityConfig reliability;
   /// Heartbeat failure detector: load broadcasts double as heartbeats, and
   /// a peer silent for this many monitor periods becomes kSuspect (it
-  /// hardens into kDead at membership_timeout). Suspects are skipped by
+  /// hardens into kDead at kMembershipTimeout). Suspects are skipped by
   /// placement while any trusted node exists.
   double suspect_after_missed = 2.0;
-  /// Detector-driven placement (skip suspects, mark stale load entries) is
-  /// active whenever `faults` is enabled; set this to force it on for
-  /// crash-only runs too. Default off so existing crash benches keep their
-  /// timeout-only placement behavior bit-for-bit.
-  bool detector_placement = false;
-  /// Suspect-hint hysteresis (sched::FailureDetectorConfig::hint_hysteresis):
-  /// after a heartbeat clears a hint-raised suspicion, further hints against
-  /// that peer are suppressed for this long while its heartbeats stay
-  /// current. Keeps a gray-slow (but lossless) node from flapping between
-  /// alive and suspect on sporadic send failures. 0 disables the window —
-  /// bit-identical to the pre-hysteresis detector.
-  Seconds hint_hysteresis = 0.0;
 };
 
 /// Question-dispatcher knobs: the policy under test plus the thresholds of
@@ -157,15 +151,10 @@ struct DispatchConfig {
 
 /// Intra-question partitioning knobs for the embedded PR/AP dispatchers.
 struct PartitionConfig {
-  /// DQA only: allow the embedded dispatchers to partition (low load).
-  /// When false, they only migrate — used to isolate migration effects.
-  bool enable = true;
-
   /// PR partitioning strategy: kRecv (the paper's choice — collection
   /// processing cost varies too widely for weight-based partitioning) or
   /// kSend (the ablation). kIsend is rejected: collections are unranked.
   parallel::Strategy pr_strategy = parallel::Strategy::kRecv;
-  std::size_t pr_chunk = 1;  ///< sub-collections per RECV chunk
 
   /// AP partitioning strategy: any of the three.
   parallel::Strategy ap_strategy = parallel::Strategy::kRecv;
@@ -209,6 +198,16 @@ struct AdmissionConfig {
   [[nodiscard]] bool enabled() const { return max_concurrent > 0; }
 };
 
+/// The hedge trigger's floor, and the completed-leg observations a stage
+/// needs before its quantile is trusted (see TailConfig::hedge_quantile).
+inline constexpr Seconds kHedgeMinDelay = 0.5;
+inline constexpr std::size_t kHedgeMinSamples = 8;
+/// Leg-latency EWMA smoothing (weight of the newest observation).
+inline constexpr double kEwmaAlpha = 0.2;
+/// A node is a straggler while its per-unit leg-latency EWMA exceeds this
+/// multiple of the fastest node's EWMA.
+inline constexpr double kStragglerRatio = 3.0;
+
 /// Tail-tolerance toolkit (extension; disabled by default). Gray nodes —
 /// slow disk, throttled CPU — heartbeat happily while stretching every
 /// fork-join question to their pace, so the failure detector never helps.
@@ -223,7 +222,7 @@ struct AdmissionConfig {
 ///     to completion, and its span closes as a cancelled hedge loser so
 ///     attribution never double-counts the work.
 ///   * latency-aware selection: a per-node leg-latency EWMA feeds the
-///     meta-scheduler; nodes whose EWMA exceeds `straggler_ratio` × the
+///     meta-scheduler; nodes whose EWMA exceeds kStragglerRatio × the
 ///     pool's best are down-ranked like stale entries, steering new legs
 ///     away from slow-but-alive holders.
 ///
@@ -239,17 +238,9 @@ struct TailConfig {
   /// quantile of the observed *per-unit* leg walls for its stage, scaled
   /// by the work the leg carries (legs differ wildly in size; an
   /// unnormalized wall quantile hedges big legs merely for being big)...
+  /// ...but never sooner than kHedgeMinDelay, and only after the stage
+  /// has kHedgeMinSamples completed-leg observations to estimate it from.
   double hedge_quantile = 0.95;
-  /// ...but never sooner than this floor, and only after the stage has
-  /// this many completed-leg observations to estimate the quantile from.
-  Seconds hedge_min_delay = 0.5;
-  std::size_t hedge_min_samples = 8;
-
-  /// Leg-latency EWMA smoothing (weight of the newest observation).
-  double ewma_alpha = 0.2;
-  /// A node is a straggler while its per-unit leg-latency EWMA exceeds
-  /// this multiple of the fastest node's EWMA.
-  double straggler_ratio = 3.0;
 
   [[nodiscard]] bool enabled() const { return hedge || latency_aware; }
 };
@@ -418,9 +409,43 @@ class System {
 
   simnet::SimProcess monitor_process(Node& node);
   simnet::SimProcess fault_process();
+  /// The Q/A task (paper Fig. 3): places the question, then runs the
+  /// attempt loop (cache probe, QP, PR, PO, AP, answer sort) until one
+  /// host survives it, restarting on a surviving node after a host crash.
   simnet::SimProcess question_process(const QuestionPlan& plan,
                                       sched::NodeId dns_node,
                                       Seconds arrived);
+  /// Scheduling point 1: the DNS front-end's node (rerouted when it left
+  /// the pool or crashed), moved by the policy's question dispatcher —
+  /// two random choices, cache affinity, or the load-based migration
+  /// rule — when the hand-off is delivered. Resolves to the node that
+  /// hosts the first attempt.
+  simnet::Task<sched::NodeId> place_question(const QuestionState& q,
+                                             sched::NodeId dns_node,
+                                             const std::string& cache_key);
+  /// What the cache probe found on the question's host.
+  struct CacheProbe {
+    bool answer = false;      ///< answer-cache hit: the whole pipeline skips
+    bool paragraphs = false;  ///< paragraph-cache hit: PR skips
+  };
+  /// The cache probe before QP: kLookupCpu on the host, then the answer
+  /// cache and, on a miss, the paragraph cache. Finds nothing when the
+  /// host crashed mid-probe.
+  simnet::Task<CacheProbe> probe_caches(const QuestionState& q,
+                                        const std::string& cache_key);
+  /// One sequential step on the question host (QP, PO, the answer sort):
+  /// `cpu` seconds of host CPU under a stage span named `name` (none when
+  /// null), timed into `elapsed`. Resolves false when the host crashed.
+  simnet::Task<bool> host_step(QuestionState& q, const char* name,
+                               Seconds cpu, double& elapsed);
+  /// One partitioned stage (PR, AP, or PR through the broker tier): the
+  /// policy's supervised scatter-gather, placed with `units...`, under a
+  /// stage span named `name` with `make_attrs()` (only called while
+  /// tracing), timed into `elapsed`. Resolves false when the host crashed.
+  template <class Policy, class MakeAttrs, class... Units>
+  simnet::Task<bool> run_stage(QuestionState& q, Policy& policy,
+                               const char* name, MakeAttrs make_attrs,
+                               double& elapsed, Units... units);
 
   /// Admission front door, invoked at each question's arrival instant.
   /// With admission off this is a tail call into question_process; with it
@@ -494,13 +519,13 @@ class System {
   /// number per logical message. Resolves true once delivered, false when
   /// the retry budget (or the question deadline, when set) is exhausted —
   /// the peer is then unreachable as far as this RPC is concerned. With no
-  /// fault injector installed this is exactly one transfer (bit-identical
-  /// fast path). A non-null `cost` accumulates the transfer/backoff split.
+  /// fault injector installed every send is delivered on the first attempt.
+  /// A non-null `cost` accumulates the transfer/backoff split.
   simnet::Task<bool> ship(double bytes, sched::NodeId src, sched::NodeId dst,
                           Seconds deadline, ShipCost* cost = nullptr);
 
-  /// Whether placement may target `node`: it must be up, and — when the
-  /// failure detector drives placement — not currently suspected.
+  /// Whether placement may target `node`: it must be up and not currently
+  /// suspected by the failure detector.
   [[nodiscard]] bool schedulable(sched::NodeId node) const;
 
   /// Whether the question's deadline budget (reliability.question_deadline)
@@ -516,7 +541,7 @@ class System {
   /// Least-loaded pool member that is actually up; falls back to any live
   /// node when the table is momentarily empty. A live node always exists
   /// (apply_crash never takes down the last one). Prefers unsuspected
-  /// nodes when the detector drives placement.
+  /// nodes.
   [[nodiscard]] sched::NodeId pick_live(const sched::LoadWeights& weights) const;
 
   /// Least-loaded live pool member other than `exclude`, preferring
@@ -530,9 +555,8 @@ class System {
   /// Scheduling points 2 and 3 (the embedded PR/AP dispatchers, DQA
   /// only): the nodes a stage partitions over, with their weights. The
   /// meta-schedule's picks minus unschedulable nodes, falling back to the
-  /// host; only the heaviest pick when partitioning is disabled. Counts a
-  /// stage migration when the stage leaves the host. Other policies (and
-  /// an empty pool) keep the stage on the host.
+  /// host. Counts a stage migration when the stage leaves the host. Other
+  /// policies (and an empty pool) keep the stage on the host.
   struct StagePlacement {
     std::vector<sched::NodeId> nodes;
     std::vector<double> weights;
@@ -608,8 +632,8 @@ class System {
   /// Current per-unit hedge trigger for a stage: the configured quantile
   /// of this run's observed per-unit leg walls. The supervision loops
   /// scale it by each leg's unit count (and floor the product with
-  /// hedge_min_delay) to get that leg's due time; nullopt until
-  /// hedge_min_samples legs have completed.
+  /// kHedgeMinDelay) to get that leg's due time; nullopt until
+  /// kHedgeMinSamples legs have completed.
   [[nodiscard]] std::optional<Seconds> hedge_delay(
       sched::LegStage stage) const;
   /// Straggler mask for meta_schedule(_among) when latency-aware selection
@@ -728,7 +752,6 @@ class System {
   std::unique_ptr<shard::ShardMap> shard_map_;  // null: sharding off
   bool shard_partial_ = false;  // R < nodes: replica-aware scheduling on
   sched::FailureDetector detector_;
-  bool detector_placement_ = false;
   sched::LoadTable table_;
   /// Tail-tolerance state (untouched while config().tail is disabled).
   sched::LegLatencyTracker leg_latency_;

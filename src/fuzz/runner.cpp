@@ -1,6 +1,7 @@
 #include "fuzz/runner.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -14,80 +15,56 @@ namespace qadist::fuzz {
 
 namespace {
 
-/// Coverage bit assignments. Appending is fine; reordering is not (saved
-/// corpora key on the signature).
-enum CoverageBit : std::uint64_t {
-  kCrashes = 0,
-  kCrashesSkipped,
-  kQuestionRestarts,
-  kRecoveryLegs,
-  kNetDrops,
-  kNetPartitionDrops,
-  kNetDuplicates,
-  kNetRetries,
-  kNetSendFailures,
-  kLegsUnreachable,
-  kDetectorSuspicions,
-  kDetectorFalseAlarms,
-  kDetectorDeaths,
-  kDetectorRejoins,
-  kQuestionsDegraded,
-  kDegradedUnitsDropped,
-  kDegradedStaleServed,
-  kShardFailovers,
-  kShardRebuilds,
-  kShardUnitsUnserved,
-  kShardRevalidations,
-  kQuestionsRejected,
-  kQuestionsShed,
-  kAdmissionDegraded,
-  kAdmissionQueued,
-  kCacheHits,
-  kParagraphCacheHits,
-  kHedgesIssued,
-  kHedgeWins,
-  kLegsCancelled,
-  kStragglerAvoidances,
-  kGrayOnsets,
-  kMigrations,
-  kCoverageBits,  // count, keep last
+/// Coverage bits, in bit order: bit i is set when entry i's metric is
+/// nonzero. Appending is fine; reordering is not (saved corpora key on the
+/// signature).
+using M = cluster::Metrics;
+struct CoverageBit {
+  const char* name;
+  std::size_t (*value)(const M&);
 };
-
-constexpr const char* kCoverageNames[kCoverageBits] = {
-    "crashes",
-    "crashes_skipped",
-    "question_restarts",
-    "recovery_legs",
-    "net_drops",
-    "net_partition_drops",
-    "net_duplicates",
-    "net_retries",
-    "net_send_failures",
-    "legs_unreachable",
-    "detector_suspicions",
-    "detector_false_alarms",
-    "detector_deaths",
-    "detector_rejoins",
-    "questions_degraded",
-    "degraded_units_dropped",
-    "degraded_stale_served",
-    "shard_failovers",
-    "shard_rebuilds",
-    "shard_units_unserved",
-    "shard_revalidations",
-    "questions_rejected",
-    "questions_shed",
-    "admission_degraded",
-    "admission_queued",
-    "cache_hits",
-    "pr_cache_hits",
-    "hedges_issued",
-    "hedge_wins",
-    "legs_cancelled",
-    "straggler_avoidances",
-    "gray_onsets",
-    "migrations",
+constexpr CoverageBit kCoverage[] = {
+    {"crashes", [](const M& m) { return m.crashes; }},
+    {"crashes_skipped", [](const M& m) { return m.crashes_skipped; }},
+    {"question_restarts", [](const M& m) { return m.question_restarts; }},
+    {"recovery_legs", [](const M& m) { return m.recovery_legs; }},
+    {"net_drops", [](const M& m) { return m.net_drops; }},
+    {"net_partition_drops", [](const M& m) { return m.net_partition_drops; }},
+    {"net_duplicates", [](const M& m) { return m.net_duplicates; }},
+    {"net_retries", [](const M& m) { return m.net_retries; }},
+    {"net_send_failures", [](const M& m) { return m.net_send_failures; }},
+    {"legs_unreachable", [](const M& m) { return m.legs_unreachable; }},
+    {"detector_suspicions", [](const M& m) { return m.detector_suspicions; }},
+    {"detector_false_alarms",
+     [](const M& m) { return m.detector_false_alarms; }},
+    {"detector_deaths", [](const M& m) { return m.detector_deaths; }},
+    {"detector_rejoins", [](const M& m) { return m.detector_rejoins; }},
+    {"questions_degraded", [](const M& m) { return m.questions_degraded; }},
+    {"degraded_units_dropped",
+     [](const M& m) { return m.degraded_units_dropped; }},
+    {"degraded_stale_served",
+     [](const M& m) { return m.degraded_stale_served; }},
+    {"shard_failovers", [](const M& m) { return m.shard_failovers; }},
+    {"shard_rebuilds", [](const M& m) { return m.shard_rebuilds; }},
+    {"shard_units_unserved", [](const M& m) { return m.shard_units_unserved; }},
+    {"shard_revalidations", [](const M& m) { return m.shard_revalidations; }},
+    {"questions_rejected", [](const M& m) { return m.questions_rejected; }},
+    {"questions_shed", [](const M& m) { return m.questions_shed; }},
+    {"admission_degraded", [](const M& m) { return m.admission_degraded; }},
+    {"admission_queued", [](const M& m) { return m.admission_wait.count(); }},
+    {"cache_hits", [](const M& m) { return m.cache_hits; }},
+    {"pr_cache_hits", [](const M& m) { return m.pr_cache_hits; }},
+    {"hedges_issued", [](const M& m) { return m.hedges_issued; }},
+    {"hedge_wins", [](const M& m) { return m.hedge_wins; }},
+    {"legs_cancelled", [](const M& m) { return m.legs_cancelled; }},
+    {"straggler_avoidances", [](const M& m) { return m.straggler_avoidances; }},
+    {"gray_onsets", [](const M& m) { return m.gray_onsets; }},
+    {"migrations",
+     [](const M& m) {
+       return m.migrations_qa + m.migrations_pr + m.migrations_ap;
+     }},
 };
+static_assert(std::size(kCoverage) <= 64, "the signature is one 64-bit word");
 
 /// One simulation pass over the scenario. `trace` attaches a span tracer
 /// (pure observation — attaching one never changes the event sequence, so
@@ -188,52 +165,18 @@ std::string to_string(const RunDigest& d) {
 }
 
 std::uint64_t coverage_signature(const cluster::Metrics& m) {
-  const auto bit = [](CoverageBit b, std::size_t value) -> std::uint64_t {
-    return value > 0 ? (std::uint64_t{1} << b) : 0;
-  };
   std::uint64_t sig = 0;
-  sig |= bit(kCrashes, m.crashes);
-  sig |= bit(kCrashesSkipped, m.crashes_skipped);
-  sig |= bit(kQuestionRestarts, m.question_restarts);
-  sig |= bit(kRecoveryLegs, m.recovery_legs);
-  sig |= bit(kNetDrops, m.net_drops);
-  sig |= bit(kNetPartitionDrops, m.net_partition_drops);
-  sig |= bit(kNetDuplicates, m.net_duplicates);
-  sig |= bit(kNetRetries, m.net_retries);
-  sig |= bit(kNetSendFailures, m.net_send_failures);
-  sig |= bit(kLegsUnreachable, m.legs_unreachable);
-  sig |= bit(kDetectorSuspicions, m.detector_suspicions);
-  sig |= bit(kDetectorFalseAlarms, m.detector_false_alarms);
-  sig |= bit(kDetectorDeaths, m.detector_deaths);
-  sig |= bit(kDetectorRejoins, m.detector_rejoins);
-  sig |= bit(kQuestionsDegraded, m.questions_degraded);
-  sig |= bit(kDegradedUnitsDropped, m.degraded_units_dropped);
-  sig |= bit(kDegradedStaleServed, m.degraded_stale_served);
-  sig |= bit(kShardFailovers, m.shard_failovers);
-  sig |= bit(kShardRebuilds, m.shard_rebuilds);
-  sig |= bit(kShardUnitsUnserved, m.shard_units_unserved);
-  sig |= bit(kShardRevalidations, m.shard_revalidations);
-  sig |= bit(kQuestionsRejected, m.questions_rejected);
-  sig |= bit(kQuestionsShed, m.questions_shed);
-  sig |= bit(kAdmissionDegraded, m.admission_degraded);
-  sig |= bit(kAdmissionQueued, m.admission_wait.count());
-  sig |= bit(kCacheHits, m.cache_hits);
-  sig |= bit(kParagraphCacheHits, m.pr_cache_hits);
-  sig |= bit(kHedgesIssued, m.hedges_issued);
-  sig |= bit(kHedgeWins, m.hedge_wins);
-  sig |= bit(kLegsCancelled, m.legs_cancelled);
-  sig |= bit(kStragglerAvoidances, m.straggler_avoidances);
-  sig |= bit(kGrayOnsets, m.gray_onsets);
-  sig |= bit(kMigrations,
-             m.migrations_qa + m.migrations_pr + m.migrations_ap);
+  for (std::size_t b = 0; b < std::size(kCoverage); ++b) {
+    if (kCoverage[b].value(m) > 0) sig |= std::uint64_t{1} << b;
+  }
   return sig;
 }
 
 std::vector<std::string> coverage_names(std::uint64_t signature) {
   std::vector<std::string> names;
-  for (std::uint64_t b = 0; b < kCoverageBits; ++b) {
+  for (std::size_t b = 0; b < std::size(kCoverage); ++b) {
     if ((signature & (std::uint64_t{1} << b)) != 0) {
-      names.emplace_back(kCoverageNames[b]);
+      names.emplace_back(kCoverage[b].name);
     }
   }
   return names;
@@ -327,11 +270,10 @@ std::vector<std::string> counter_violations(const cluster::Metrics& m,
         << m.shard_failovers << ")";
     append(out, msg);
   }
-  const std::size_t shard_bytes = shard::ShardConfig{}.shard_bytes;
-  if (m.shard_rebuild_bytes != m.shard_rebuilds * shard_bytes) {
+  if (m.shard_rebuild_bytes != m.shard_rebuilds * shard::kShardBytes) {
     msg << "shard rebuild bytes (" << m.shard_rebuild_bytes
         << ") != rebuilds (" << m.shard_rebuilds << ") x shard size ("
-        << shard_bytes << ")";
+        << shard::kShardBytes << ")";
     append(out, msg);
   }
 

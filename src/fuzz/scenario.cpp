@@ -342,17 +342,9 @@ Scenario scenario_from_json(std::string_view text) {
   s.ap_chunk = count_field(root, "ap_chunk");
   s.num_shards = count_field(root, "num_shards");
   s.replication = count_field(root, "replication");
-  // Broker knobs postdate the original corpus: absent fields keep their
-  // defaults (off) so older pinned scenarios still parse.
-  if (!root.at("brokers").is_null()) {
-    s.brokers = count_field(root, "brokers");
-  }
-  if (!root.at("selectivity").is_null()) {
-    s.selectivity = num(root, "selectivity");
-  }
-  if (!root.at("top_k").is_null()) {
-    s.top_k = count_field(root, "top_k");
-  }
+  s.brokers = count_field(root, "brokers");
+  s.selectivity = num(root, "selectivity");
+  s.top_k = count_field(root, "top_k");
 
   for (const obs::JsonValue& crash : member(root, "crashes").items()) {
     cluster::FaultEvent event;

@@ -32,21 +32,12 @@ PeerState FailureDetector::heartbeat(NodeId node, Seconds now) {
   Peer& p = peer(node);
   const PeerState before = p.known ? p.state : PeerState::kAlive;
   if (p.known) {
-    if (p.state == PeerState::kSuspect) {
-      ++suspicions_cleared_;
-      // A hint-raised suspicion cleared by an on-schedule beat was a false
-      // alarm; arm the hysteresis window so the next stray send failure
-      // does not flap this peer right back to kSuspect.
-      if (p.hint_raised && config_.hint_hysteresis > 0.0) {
-        p.suppress_hints_until = now + config_.hint_hysteresis;
-      }
-    }
+    if (p.state == PeerState::kSuspect) ++suspicions_cleared_;
     if (p.state == PeerState::kDead) ++rejoins_;
   }
   p.known = true;
   p.state = PeerState::kAlive;
   p.last_heard = now;
-  p.hint_raised = false;
   return before;
 }
 
@@ -58,19 +49,7 @@ void FailureDetector::suspect_hint(NodeId node, Seconds now) {
     p.last_heard = now;
   }
   if (p.state == PeerState::kAlive) {
-    // Within the hysteresis window, a hint against a peer whose heartbeats
-    // are still current is discounted — we just proved a hint wrong and the
-    // beats say the peer is fine. Stale heartbeats void the suppression:
-    // then the hint is corroborated by silence and raises as usual.
-    const Seconds suspect_after =
-        config_.suspect_after_missed * config_.heartbeat_period;
-    const bool beats_current = now - p.last_heard <= suspect_after;
-    if (beats_current && now < p.suppress_hints_until) {
-      ++hints_suppressed_;
-      return;
-    }
     p.state = PeerState::kSuspect;
-    p.hint_raised = true;
     ++suspicions_raised_;
   }
 }

@@ -25,19 +25,6 @@ struct FailureDetectorConfig {
   /// Silence before kSuspect hardens into kDead. Should exceed
   /// suspect_after_missed * heartbeat_period.
   Seconds confirm_dead_after = 3.0;
-  /// Suspect-hint hysteresis window. A hint is direct-but-noisy evidence:
-  /// one lost RPC exhausting its retries raises an alive peer to kSuspect
-  /// even while its heartbeats arrive on schedule. Without damping, a
-  /// gray-slow node on a lossy segment flaps alive→suspect→alive forever —
-  /// each flap steering placement away from a node that is actually up.
-  /// With a window > 0: after a heartbeat clears a *hint-raised* suspicion
-  /// (a proven false alarm), further hints against that peer are ignored
-  /// for this long, provided its heartbeats are still current. Silence-
-  /// based suspicion (sweep) is never suppressed — a peer that actually
-  /// stops beating is suspected on schedule regardless. 0 (the default)
-  /// disables the window: every hint raises, bit-identical to the
-  /// pre-hysteresis detector.
-  Seconds hint_hysteresis = 0.0;
 };
 
 /// One observed lifecycle transition, as reported by sweep().
@@ -67,7 +54,9 @@ class FailureDetector {
 
   /// Direct evidence of trouble (an RPC to `node` exhausted its retries):
   /// immediately raises an alive peer to kSuspect without waiting for the
-  /// missed-beat threshold.
+  /// missed-beat threshold. Every hint counts, even right after a beat
+  /// cleared the last one: damping hints (a hysteresis window) measured
+  /// strictly worse on the pinned adversarial scenarios' p99.
   void suspect_hint(NodeId node, Seconds now);
 
   /// Applies silence-based transitions as of `now` and returns those that
@@ -90,22 +79,12 @@ class FailureDetector {
     return deaths_confirmed_;
   }
   [[nodiscard]] std::uint64_t rejoins() const { return rejoins_; }
-  /// Hints swallowed by the hysteresis window (see
-  /// FailureDetectorConfig::hint_hysteresis).
-  [[nodiscard]] std::uint64_t hints_suppressed() const {
-    return hints_suppressed_;
-  }
 
  private:
   struct Peer {
     bool known = false;
     PeerState state = PeerState::kAlive;
     Seconds last_heard = 0.0;
-    /// Current suspicion came from a hint (vs missed beats) — only those
-    /// arm the hysteresis window when cleared.
-    bool hint_raised = false;
-    /// Hints are ignored before this instant while heartbeats stay current.
-    Seconds suppress_hints_until = 0.0;
   };
 
   Peer& peer(NodeId node);
@@ -116,7 +95,6 @@ class FailureDetector {
   std::uint64_t suspicions_cleared_ = 0;
   std::uint64_t deaths_confirmed_ = 0;
   std::uint64_t rejoins_ = 0;
-  std::uint64_t hints_suppressed_ = 0;
 };
 
 }  // namespace qadist::sched

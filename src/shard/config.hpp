@@ -6,6 +6,19 @@
 
 namespace qadist::shard {
 
+/// Pacing floor for background re-replication after a holder crashes:
+/// copying one shard takes at least kShardBytes / kRebuildBandwidth on top
+/// of the contended disk/network transfers it pays.
+inline constexpr Bandwidth kRebuildBandwidth =
+    Bandwidth::from_megabytes_per_second(20.0);
+/// Simulated on-disk size of one shard replica (storage accounting and
+/// re-replication cost). The synthetic corpus is tiny; this models the
+/// TREC-scale artifact each replica would pin.
+inline constexpr Bytes kShardBytes = 64_MB;
+/// Host CPU charged per gathered PR leg in sharded mode: merging one
+/// shard's scored paragraphs into the stream feeding Paragraph Scoring.
+inline constexpr Seconds kPartialMergeCpu = 5e-3;
+
 /// Corpus-sharding and index-replication plan. The paper replicates the
 /// full TREC collection on every node's disk, so PR can run anywhere —
 /// fine for 12 nodes, fatal once the collection outgrows a single disk.
@@ -25,17 +38,6 @@ struct ShardConfig {
   std::size_t num_shards = 0;
   /// Replica holders per shard (R). 0 or >= nodes: full replication.
   std::size_t replication = 0;
-  /// Pacing floor for background re-replication after a holder crashes:
-  /// copying one shard takes at least shard_bytes / rebuild_bandwidth on
-  /// top of the contended disk/network transfers it pays.
-  Bandwidth rebuild_bandwidth = Bandwidth::from_megabytes_per_second(20.0);
-  /// Simulated on-disk size of one shard replica (storage accounting and
-  /// re-replication cost). The synthetic corpus is tiny; this models the
-  /// TREC-scale artifact each replica would pin.
-  Bytes shard_bytes = 64_MB;
-  /// Host CPU charged per gathered PR leg in sharded mode: merging one
-  /// shard's scored paragraphs into the stream feeding Paragraph Scoring.
-  Seconds partial_merge_cpu = 5e-3;
 
   [[nodiscard]] bool enabled() const { return num_shards > 0; }
 

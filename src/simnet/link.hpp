@@ -15,7 +15,7 @@ namespace qadist::simnet {
 /// transfers — the fluid-flow model of a shared Ethernet segment.
 ///
 ///   Link lan(sim, "lan", Bandwidth::from_mbps(100), 2e-3);
-///   co_await lan.transfer(bytes);   // from any SimProcess
+///   LinkVerdict v = co_await lan.send(bytes, src, dst);  // any SimProcess
 class Link {
  public:
   Link(Simulation& sim, std::string name, Bandwidth bandwidth,
@@ -32,35 +32,12 @@ class Link {
   /// Chained awaiter: suspends for the per-message latency, then joins the
   /// shared channel for the payload bytes. The awaiter object lives in the
   /// awaiting coroutine's frame for the whole transfer, so capturing
-  /// `this` across the two phases is safe.
-  class [[nodiscard]] TransferAwaiter {
-   public:
-    TransferAwaiter(Link& link, double bytes) : link_(link), bytes_(bytes) {}
-
-    bool await_ready() const noexcept {
-      return link_.per_message_latency_ <= 0.0 && bytes_ <= 0.0;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      ++link_.messages_;
-      link_.sim_->schedule(link_.per_message_latency_, [this, h] {
-        link_.channel_->enqueue(bytes_, h);
-      });
-    }
-    void await_resume() const noexcept {}
-
-   private:
-    Link& link_;
-    double bytes_;
-  };
-
-  /// Awaitable: completes when `bytes` have crossed the link.
-  TransferAwaiter transfer(double bytes) { return TransferAwaiter(*this, bytes); }
-
-  /// Like TransferAwaiter, but consults the link's fault injector (if any)
-  /// for the fate of the message. A dropped message still costs the sender
-  /// the per-message latency (the frame left the NIC) but never touches the
-  /// shared channel; a duplicated one pays bandwidth twice. With no injector
-  /// installed this produces exactly the same event sequence as transfer().
+  /// `this` across the two phases is safe. The link's fault injector (if
+  /// any) decides the fate of the message: a dropped message still costs
+  /// the sender the per-message latency (the frame left the NIC) but never
+  /// touches the shared channel; a duplicated one pays bandwidth twice.
+  /// With no injector installed every message is delivered, after
+  /// per-message latency + bytes / bandwidth when it has the link alone.
   class [[nodiscard]] SendAwaiter {
    public:
     SendAwaiter(Link& link, double bytes, std::uint32_t src, std::uint32_t dst)
@@ -117,7 +94,6 @@ class Link {
   [[nodiscard]] double bytes_served() const { return channel_->work_served(); }
 
  private:
-  friend class TransferAwaiter;
   friend class SendAwaiter;
 
   Simulation* sim_;

@@ -52,8 +52,8 @@ Metrics soak(std::uint64_t seed, bool sharded = false, bool gray = false,
   if (gray) {
     // Random gray-fault schedule derived from the soak seed: three
     // degradation windows at random nodes/times/severities, plus the full
-    // tail toolkit and hint hysteresis to react to them. Same seed, same
-    // schedule — the replay test still holds bit for bit.
+    // tail toolkit to react to them. Same seed, same schedule — the replay
+    // test still holds bit for bit.
     Rng gray_rng(seed ^ 0xa0761d6478bd642fULL);
     for (int i = 0; i < 3; ++i) {
       simnet::GrayFaultEvent ev;
@@ -67,7 +67,6 @@ Metrics soak(std::uint64_t seed, bool sharded = false, bool gray = false,
     cfg.tail.hedge = true;
     cfg.tail.tied = true;
     cfg.tail.latency_aware = true;
-    cfg.net.hint_hysteresis = 30.0;
   }
   if (sharded || brokered) {
     // Partially-replicated corpus on top of all the chaos: crashes now also
@@ -193,7 +192,6 @@ TEST(ChaosSoakTest, GraySoakReplaysBitIdentically) {
   EXPECT_EQ(a.hedge_losses, b.hedge_losses);
   EXPECT_EQ(a.legs_cancelled, b.legs_cancelled);
   EXPECT_EQ(a.straggler_avoidances, b.straggler_avoidances);
-  EXPECT_EQ(a.detector_hints_suppressed, b.detector_hints_suppressed);
   EXPECT_EQ(a.questions_degraded, b.questions_degraded);
   EXPECT_DOUBLE_EQ(a.latencies.mean(), b.latencies.mean());
 }

@@ -81,7 +81,6 @@ INSTANTIATE_TEST_SUITE_P(Strategies, FaultPerStrategy,
 TEST(FaultRecoveryTest, PrSendStrategySurvivesCrashes) {
   auto cfg = config(4);
   cfg.partition.pr_strategy = Strategy::kSend;
-  cfg.partition.pr_chunk = 1;
   const auto metrics = run_with_worker_crashes(cfg);
   EXPECT_EQ(metrics.completed, 12u);
   EXPECT_EQ(metrics.crashes, 2u);
@@ -176,9 +175,9 @@ TEST(FaultRecoveryTest, RecoveryMetricsAreConsistent) {
     EXPECT_GT(metrics.recovery_latency.count(), 0u);
     EXPECT_GT(metrics.recovery_latency.mean(), 0.0);
     // Detection is one reply-timeout poll at most: the silence clock runs
-    // from the last report, so a crash is noticed within membership_timeout
+    // from the last report, so a crash is noticed within kMembershipTimeout
     // of the poll preceding it — never more than one full timeout late.
-    EXPECT_LE(metrics.recovery_latency.mean(), 2.0 * cfg.net.membership_timeout);
+    EXPECT_LE(metrics.recovery_latency.mean(), 2.0 * kMembershipTimeout);
   }
   EXPECT_EQ(testing::count_instants(tracer, "crashed"), 2u);
 }

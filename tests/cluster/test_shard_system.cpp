@@ -71,7 +71,7 @@ TEST(ShardSystemTest, FullReplicationMatchesUnshardedBitForBit) {
   EXPECT_TRUE(a.node_storage_bytes.empty());
   ASSERT_EQ(b.node_storage_bytes.size(), 4u);
   for (double bytes : b.node_storage_bytes) {
-    EXPECT_DOUBLE_EQ(bytes, 6.0 * static_cast<double>(full.shard.shard_bytes));
+    EXPECT_DOUBLE_EQ(bytes, 6.0 * static_cast<double>(shard::kShardBytes));
   }
 }
 
@@ -88,7 +88,7 @@ TEST(ShardSystemTest, PartialReplicationCutsPerNodeStorageAndStillDrains) {
   double total = 0.0;
   for (double bytes : partial.node_storage_bytes) total += bytes;
   EXPECT_DOUBLE_EQ(
-      total, 8.0 * 2.0 * static_cast<double>(sharded_config(4, 8, 2).shard.shard_bytes));
+      total, 8.0 * 2.0 * static_cast<double>(shard::kShardBytes));
 }
 
 TEST(ShardSystemTest, CrashedHolderFailsOverAndRebuildsInBackground) {
@@ -117,12 +117,11 @@ TEST(ShardSystemTest, CrashedHolderFailsOverAndRebuildsInBackground) {
   EXPECT_EQ(metrics.shard_failovers, lost);
   EXPECT_EQ(metrics.shard_rebuilds, lost);
   EXPECT_EQ(metrics.shard_rebuild_bytes,
-            lost * static_cast<std::size_t>(cfg.shard.shard_bytes));
+            lost * static_cast<std::size_t>(shard::kShardBytes));
   EXPECT_EQ(metrics.shard_rebuild_seconds.count(), lost);
   // Every copy pays at least the rebuild-bandwidth pacing floor.
-  const double floor =
-      cfg.shard.rebuild_bandwidth.transfer_time(
-          static_cast<double>(cfg.shard.shard_bytes));
+  const double floor = shard::kRebuildBandwidth.transfer_time(
+      static_cast<double>(shard::kShardBytes));
   EXPECT_GE(metrics.shard_rebuild_seconds.min(), floor);
   // The map healed: replication is restored on the survivors.
   EXPECT_EQ(map->replica_count(victim), 0u);
@@ -214,7 +213,6 @@ TEST(ShardSystemTest, RejoinAfterConfirmedDeathClearsTheNodesCaches) {
   cfg.partition.ap_chunk = 8;
   cfg.cache.answers.max_entries = 64;
   cfg.cache.paragraphs.max_entries = 64;
-  cfg.net.detector_placement = true;  // detector runs without link faults
 
   sched::NodeId preferred = 0;
   {

@@ -11,7 +11,8 @@
 // or trace line anywhere in the run fails the pin.
 //
 // Each case also asserts that the path it names actually fired, so no pin
-// can pass vacuously.
+// can pass vacuously. The crash cases also assert that the failure
+// detector's sweep fired: its transitions drive placement in every run.
 
 #include <gtest/gtest.h>
 
@@ -227,11 +228,12 @@ TEST(SupervisionGoldenTest, WorkerCrashUnderRecv) {
   EXPECT_GT(run.metrics.items_recovered, 0u);
   EXPECT_GT(run.instants_containing("during PR"), 0u);
   EXPECT_GT(run.instants_containing("during AP"), 0u);
+  EXPECT_GT(run.instants_containing("peer suspect"), 0u);
   EXPECT_GOLDEN(run,
       "makespan=858.96004789388473 n=12 mean=526.56098935450734 "
       "p95=701.9577001891696 max=738.96004789388473 spans=213 "
-      "start=30330.766037344234 end=50141.832387383532 instants=174 "
-      "fnv=adf051e397345ad4 legs_spawned=39 legs_lost=4 "
+      "start=30330.766037344234 end=50141.832387383532 instants=178 "
+      "fnv=809bae95a8198dbc legs_spawned=39 legs_lost=4 "
       "items_recovered=9 recovery_legs=0 question_restarts=2 "
       "legs_unreachable=0 questions_degraded=0 "
       "degraded_units_dropped=0 shard_units_unserved=0 "
@@ -246,11 +248,12 @@ TEST(SupervisionGoldenTest, WorkerCrashUnderSend) {
   EXPECT_GT(run.metrics.recovery_legs, 0u);
   EXPECT_GT(run.instants_containing("during PR"), 0u);
   EXPECT_GT(run.instants_containing("during AP"), 0u);
+  EXPECT_GT(run.instants_containing("peer suspect"), 0u);
   EXPECT_GOLDEN(run,
       "makespan=863.83306644515164 n=12 mean=533.57802733655433 "
       "p95=731.48532012409657 max=803.83306644515164 spans=206 "
-      "start=27569.471777202114 end=47241.606766539255 instants=165 "
-      "fnv=f11ae002a589c665 legs_spawned=42 legs_lost=4 "
+      "start=27569.471777202114 end=47241.606766539255 instants=169 "
+      "fnv=6345b666635be8f7 legs_spawned=42 legs_lost=4 "
       "items_recovered=24 recovery_legs=5 question_restarts=1 "
       "legs_unreachable=0 questions_degraded=0 "
       "degraded_units_dropped=0 shard_units_unserved=0 "
@@ -268,11 +271,12 @@ TEST(SupervisionGoldenTest, HostCrashAndRestart) {
   const GoldenRun run = run_golden(cfg, spaced(6, 15.0));
   EXPECT_GT(run.metrics.question_restarts, 0u);
   EXPECT_EQ(run.instants_containing("restarted"), 1u);
+  EXPECT_GT(run.instants_containing("peer suspect"), 0u);
   EXPECT_GOLDEN(run,
       "makespan=402.79420174569225 n=6 mean=284.8705780708645 "
       "p95=356.47233703758047 max=361.03171546820994 spans=94 "
-      "start=6220.9182453538333 end=11357.851649600203 instants=78 "
-      "fnv=ca268cba9c49835b legs_spawned=13 legs_lost=1 "
+      "start=6220.9182453538333 end=11357.851649600203 instants=81 "
+      "fnv=813eb8d79a81ad1c legs_spawned=13 legs_lost=1 "
       "items_recovered=0 recovery_legs=0 question_restarts=1 "
       "legs_unreachable=0 questions_degraded=0 "
       "degraded_units_dropped=0 shard_units_unserved=0 "
@@ -380,11 +384,12 @@ TEST(SupervisionGoldenTest, ShardedHolderCrash) {
   EXPECT_GT(run.metrics.items_recovered, 0u);
   EXPECT_GT(run.metrics.shard_failovers, 0u);
   EXPECT_GT(run.instants_containing("during PR"), 0u);
+  EXPECT_GT(run.instants_containing("peer suspect"), 0u);
   EXPECT_GOLDEN(run,
       "makespan=691.97162115705589 n=10 mean=313.9061815101885 "
       "p95=616.8948853334914 max=661.97162115705589 spans=206 "
-      "start=12540.361136965239 end=23498.175526517323 instants=155 "
-      "fnv=cf6bc72532d57577 legs_spawned=76 legs_lost=3 "
+      "start=12540.361136965239 end=23498.175526517323 instants=158 "
+      "fnv=f9d689f9791216db legs_spawned=76 legs_lost=3 "
       "items_recovered=12 recovery_legs=4 question_restarts=0 "
       "legs_unreachable=0 questions_degraded=0 "
       "degraded_units_dropped=0 shard_units_unserved=0 "
@@ -409,12 +414,13 @@ TEST(SupervisionGoldenTest, BrokersWithBrokerAndWorkerCrash) {
   EXPECT_GT(run.counter("broker_reroutes"), 0.0);
   EXPECT_GT(run.instants_containing("during brokered PR"), 0u);
   EXPECT_GT(run.instants_containing("lost contact with broker"), 0u);
+  EXPECT_GT(run.instants_containing("peer suspect"), 0u);
   EXPECT_GT(run.metrics.legs_lost, 0u);
   EXPECT_GOLDEN(run,
       "makespan=234.85485874237776 n=12 mean=122.51765067243524 "
       "p95=188.3435691605082 max=192.60754856044545 spans=227 "
-      "start=9474.7787274039529 end=16011.282377949261 instants=123 "
-      "fnv=f593e836e9e9d4a2 legs_spawned=131 legs_lost=3 "
+      "start=9474.7787274039529 end=16011.282377949261 instants=127 "
+      "fnv=d9527e393d5c6350 legs_spawned=131 legs_lost=3 "
       "items_recovered=3 recovery_legs=3 question_restarts=0 "
       "legs_unreachable=0 questions_degraded=0 "
       "degraded_units_dropped=0 shard_units_unserved=0 "

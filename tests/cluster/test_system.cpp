@@ -82,8 +82,7 @@ TEST(SystemTest, SingleQuestionSingleNodeMatchesSequentialTime) {
   ASSERT_EQ(metrics.completed, 1u);
   const double expected =
       f.plans[0].total_cpu_seconds() +
-      f.plans[0].total_disk_bytes() /
-          base_config(1, Policy::kDns).node.disk.bytes_per_second;
+      f.plans[0].total_disk_bytes() / kDiskBandwidth.bytes_per_second;
   EXPECT_NEAR(metrics.latencies.mean(), expected, expected * 0.05);
 }
 

@@ -144,6 +144,11 @@ TEST(CoverageTest, SignatureNamesTheSubsystemsThatFired) {
               names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(), "hedges_issued") !=
               names.end());
+  // Saved corpora key on the bit positions: 33 named bits, these at 0, 27
+  // and 32.
+  EXPECT_EQ(sig, (std::uint64_t{1} << 0) | (std::uint64_t{1} << 27) |
+                     (std::uint64_t{1} << 32));
+  EXPECT_EQ(coverage_names(~std::uint64_t{0}).size(), 33u);
   // Counts don't matter, only which families fired.
   cluster::Metrics same;
   same.crashes = 99;

@@ -146,24 +146,6 @@ TEST(ScenarioJsonTest, SeedsTravelAsDecimalStrings) {
   EXPECT_EQ(r.traffic.seed, (std::uint64_t{1} << 63) + 12345);
 }
 
-TEST(ScenarioJsonTest, BrokerKnobsDefaultWhenAbsent) {
-  // The broker fields postdate the original corpus: a pre-broker scenario
-  // JSON must still parse, with the knobs at their off defaults.
-  Scenario s = full_scenario();
-  s.brokers = 0;
-  s.selectivity = 1.0;
-  s.top_k = 0;
-  std::string json = to_json(s);
-  const std::string fields = ",\"brokers\":0,\"selectivity\":1,\"top_k\":0";
-  const auto at = json.find(fields);
-  ASSERT_NE(at, std::string::npos);
-  json.erase(at, fields.size());
-  const Scenario r = scenario_from_json(json);
-  EXPECT_EQ(r.brokers, 0u);
-  EXPECT_EQ(r.selectivity, 1.0);
-  EXPECT_EQ(r.top_k, 0u);
-}
-
 TEST(ScenarioJsonTest, PinIsOmittedWhenAbsent) {
   Scenario s = full_scenario();
   s.pin = Pin{};
@@ -201,6 +183,16 @@ TEST(ScenarioJsonDeathTest, RejectsWrongSchemaTag) {
 TEST(ScenarioJsonDeathTest, RejectsMissingField) {
   EXPECT_DEATH((void)scenario_from_json(R"({"schema":"qadist-scenario-v1"})"),
                "missing field");
+}
+
+TEST(ScenarioJsonDeathTest, RejectsMissingBrokerKnobs) {
+  // The broker knobs are required like every other field: a scenario
+  // without them does not parse.
+  std::string json = to_json(full_scenario());
+  const auto at = json.find(",\"brokers\":");
+  ASSERT_NE(at, std::string::npos);
+  json.erase(at, json.find(",\"selectivity\":", at) - at);
+  EXPECT_DEATH((void)scenario_from_json(json), "missing field \"brokers\"");
 }
 
 TEST(ScenarioJsonDeathTest, RejectsNumericSeed) {

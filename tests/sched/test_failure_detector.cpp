@@ -125,66 +125,15 @@ TEST(FailureDetectorTest, ToStringCoversEveryState) {
   EXPECT_EQ(std::string(to_string(PeerState::kDead)), "dead");
 }
 
-TEST(FailureDetectorTest, HintHysteresisSuppressesFlapAfterFalseAlarm) {
-  FailureDetectorConfig cfg = config();
-  cfg.hint_hysteresis = 10.0;
-  FailureDetector det(cfg);
-  det.heartbeat(3, 0.0);
-  det.suspect_hint(3, 0.5);
-  EXPECT_EQ(det.state(3), PeerState::kSuspect);
-  // An on-schedule beat proves the hint wrong: cleared, window armed.
-  det.heartbeat(3, 1.0);
-  EXPECT_EQ(det.state(3), PeerState::kAlive);
-  EXPECT_EQ(det.suspicions_cleared(), 1u);
-  // Inside the window, with beats still current, hints are swallowed —
-  // this is what keeps a gray-slow (but alive) peer from flapping.
-  det.heartbeat(3, 2.0);
-  det.suspect_hint(3, 2.5);
-  EXPECT_EQ(det.state(3), PeerState::kAlive);
-  EXPECT_EQ(det.hints_suppressed(), 1u);
-  // Past the window the next hint raises as usual.
-  det.heartbeat(3, 11.5);
-  det.suspect_hint(3, 12.0);
-  EXPECT_EQ(det.state(3), PeerState::kSuspect);
-  EXPECT_EQ(det.suspicions_raised(), 2u);
-}
-
-TEST(FailureDetectorTest, StaleBeatsVoidHintSuppression) {
-  FailureDetectorConfig cfg = config();
-  cfg.hint_hysteresis = 100.0;
-  FailureDetector det(cfg);
-  det.heartbeat(1, 0.0);
-  det.suspect_hint(1, 0.5);
-  det.heartbeat(1, 1.0);  // window armed until t=101
-  // By t=5 the peer has been silent past suspect_after (2 beats): the hint
-  // is corroborated by silence, so the window must not shield it.
-  det.suspect_hint(1, 5.0);
-  EXPECT_EQ(det.state(1), PeerState::kSuspect);
-  EXPECT_EQ(det.hints_suppressed(), 0u);
-}
-
-TEST(FailureDetectorTest, SweepSuspicionIsNeverSuppressed) {
-  FailureDetectorConfig cfg = config();
-  cfg.hint_hysteresis = 100.0;
-  FailureDetector det(cfg);
-  det.heartbeat(2, 0.0);
-  det.suspect_hint(2, 0.5);
-  det.heartbeat(2, 1.0);  // window armed
-  // Heartbeat-silence suspicion bypasses the hint path entirely: a peer
-  // that actually goes quiet is still convicted inside the window.
-  const auto fired = det.sweep(4.0);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].to, PeerState::kSuspect);
-}
-
-TEST(FailureDetectorTest, ZeroHysteresisKeepsLegacyFlapBehavior) {
-  FailureDetector det(config());  // hint_hysteresis defaults to 0
+TEST(FailureDetectorTest, HintAfterClearedHintRaisesSuspicionAgain) {
+  FailureDetector det(config());
   det.heartbeat(4, 0.0);
   det.suspect_hint(4, 0.5);
-  det.heartbeat(4, 1.0);
-  det.suspect_hint(4, 1.5);  // immediately re-raises: the pre-PR flap
+  det.heartbeat(4, 1.0);  // an on-schedule beat clears the hint
+  EXPECT_EQ(det.state(4), PeerState::kAlive);
+  EXPECT_EQ(det.suspicions_cleared(), 1u);
+  det.suspect_hint(4, 1.5);  // no damping: the next hint raises at once
   EXPECT_EQ(det.state(4), PeerState::kSuspect);
-  EXPECT_EQ(det.hints_suppressed(), 0u);
   EXPECT_EQ(det.suspicions_raised(), 2u);
 }
 

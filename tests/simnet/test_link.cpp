@@ -12,7 +12,7 @@ namespace {
 SimProcess sender(Simulation& sim, Link& link, Seconds start, double bytes,
                   std::vector<double>& finish, std::size_t slot) {
   co_await Delay(sim, start);
-  co_await link.transfer(bytes);
+  co_await link.send(bytes, 0, 1);
   finish[slot] = sim.now();
 }
 

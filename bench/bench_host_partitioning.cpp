@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
     double samples[3];
     for (double& s : samples) {
       const double t0 = now_seconds();
-      auto answers =
-          engine.answer_processor().process_paragraph(pq, accepted[i]);
+      auto answers = engine.answer_paragraph(pq, accepted[i]);
       asm volatile("" : : "r"(&answers) : "memory");
       s = now_seconds() - t0;
     }

@@ -25,7 +25,7 @@ int main() {
       "overall: %zu questions, %zu answered, accuracy@1 %.1f%%, accuracy@%zu "
       "%.1f%%, MRR %.3f\n\n",
       overall.questions, overall.answered, 100.0 * overall.accuracy_at_1(),
-      engine.answer_processor().config().answers_requested,
+      engine.config().answers.answers_requested,
       100.0 * overall.accuracy_at_k(), overall.mrr);
 
   // Per-answer-type breakdown.

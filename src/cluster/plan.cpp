@@ -80,8 +80,7 @@ QuestionPlan make_plan(const qa::Engine& engine, const CostModel& cost,
   plan.ap_units.reserve(accepted.size());
   for (const auto& paragraph : accepted) {
     qa::AnswerWork work;
-    auto answers = engine.answer_processor().process_paragraph(
-        plan.processed, paragraph, &work);
+    auto answers = engine.answer_paragraph(plan.processed, paragraph, &work);
 
     QuestionPlan::ApUnit unit;
     unit.demand = cost.ap(work);
@@ -96,9 +95,8 @@ QuestionPlan make_plan(const qa::Engine& engine, const CostModel& cost,
                        std::make_move_iterator(answers.end()));
   }
 
-  plan.answers = qa::sort_answers(
-      std::move(all_answers),
-      engine.answer_processor().config().answers_requested);
+  plan.answers = qa::sort_answers(std::move(all_answers),
+                                  engine.config().answers.answers_requested);
   plan.answer_sort = cost.answer_sort(plan.answers.size());
   for (const auto& a : plan.answers) {
     plan.answer_bytes += a.candidate.size() + a.window.size();

@@ -1,10 +1,29 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace qadist {
+
+/// Transparent hash for string-keyed unordered containers. Paired with
+/// std::equal_to<> it lets find() probe with a std::string_view without
+/// constructing a std::string. Hashes equal std::hash<std::string>'s, and
+/// operator() is deliberately not noexcept so the containers keep caching
+/// hash codes in their nodes, as they do for std::hash<std::string>.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// std::string-keyed hash map that is probed with std::string_view.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// Splits on a single delimiter character; keeps empty fields.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view text,

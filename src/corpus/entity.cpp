@@ -39,7 +39,7 @@ void Gazetteer::add(std::string_view surface, EntityType type) {
 }
 
 std::optional<EntityType> Gazetteer::lookup(std::string_view key) const {
-  const auto it = entries_.find(std::string(key));
+  const auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
 }

@@ -4,8 +4,9 @@
 #include <utility>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "common/strings.hpp"
 
 namespace qadist::corpus {
 
@@ -43,7 +44,7 @@ class Gazetteer {
   /// their space-joined lowercase token sequence.
   void add(std::string_view surface, EntityType type);
 
-  /// Looks up a (lowercase, space-joined) token sequence.
+  /// Looks up a (lowercase, space-joined) token sequence. Allocation-free.
   [[nodiscard]] std::optional<EntityType> lookup(std::string_view key) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -60,7 +61,7 @@ class Gazetteer {
       const;
 
  private:
-  std::unordered_map<std::string, EntityType> entries_;
+  StringMap<EntityType> entries_;
   std::size_t max_tokens_ = 0;
 };
 

@@ -5,10 +5,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "corpus/collection.hpp"
+#include "ir/analysis.hpp"
 #include "ir/analyzer.hpp"
 
 namespace qadist::ir {
@@ -31,26 +32,33 @@ struct Posting {
 /// our stand-in for the ZPrise Boolean IR engine the paper indexes each
 /// TREC-9 sub-collection with.
 ///
-/// Terms are analyzer-normalized (lowercase, stemmed, stopped). The index is
-/// immutable after build; queries are thread-safe reads, so host-parallel PR
-/// partitions can share one instance.
+/// Terms are analyzer-normalized (lowercase, stemmed, stopped). Every
+/// postings list lives in one contiguous array, sliced by per-term offsets.
+/// The index is immutable after build; queries are thread-safe reads, so
+/// host-parallel PR partitions can share one instance.
 class InvertedIndex {
  public:
   InvertedIndex() = default;
 
-  /// Indexes every paragraph of a sub-collection.
+  /// Indexes every paragraph of a sub-collection from an analysis that
+  /// covers it: each paragraph's norm ids are counted, and a term string
+  /// is stored the first time its norm appears in the sub-collection.
+  [[nodiscard]] static InvertedIndex build(const corpus::SubCollection& sub,
+                                           const CollectionAnalysis& analysis);
+
+  /// Analyzes the sub-collection alone, then builds from that analysis.
   [[nodiscard]] static InvertedIndex build(const corpus::SubCollection& sub,
                                            const Analyzer& analyzer);
 
-  /// Postings for an (already analyzer-normalized) term; nullptr if absent.
-  [[nodiscard]] const std::vector<Posting>* postings(
-      std::string_view term) const;
+  /// Postings for an (already analyzer-normalized) term; empty if absent.
+  /// Allocation-free.
+  [[nodiscard]] std::span<const Posting> postings(std::string_view term) const;
 
   /// Number of paragraphs containing the term (its postings length).
   [[nodiscard]] std::size_t document_frequency(std::string_view term) const;
 
   [[nodiscard]] std::size_t term_count() const { return terms_.size(); }
-  [[nodiscard]] std::size_t posting_count() const { return posting_count_; }
+  [[nodiscard]] std::size_t posting_count() const { return postings_.size(); }
   [[nodiscard]] std::size_t paragraph_count() const { return paragraph_count_; }
 
   /// Approximate in-memory footprint; also the serialized size driver.
@@ -63,7 +71,7 @@ class InvertedIndex {
   template <typename Fn>
   void for_each_term(Fn&& fn) const {
     for (const auto& [term, slot] : terms_) {
-      fn(std::string_view(term), std::span<const Posting>(postings_[slot]));
+      fn(std::string_view(term), slice(slot));
     }
   }
 
@@ -74,9 +82,14 @@ class InvertedIndex {
   [[nodiscard]] static InvertedIndex load(std::istream& in);
 
  private:
-  std::unordered_map<std::string, std::uint32_t> terms_;  // term -> slot
-  std::vector<std::vector<Posting>> postings_;            // slot -> postings
-  std::size_t posting_count_ = 0;
+  [[nodiscard]] std::span<const Posting> slice(std::uint32_t slot) const {
+    return std::span<const Posting>(postings_).subspan(
+        offsets_[slot], offsets_[slot + 1] - offsets_[slot]);
+  }
+
+  StringMap<std::uint32_t> terms_;           // term -> slot
+  std::vector<std::uint32_t> offsets_{0};    // slot -> first posting; size T+1
+  std::vector<Posting> postings_;            // every list, slot by slot
   std::size_t paragraph_count_ = 0;
 };
 

@@ -146,10 +146,14 @@ std::vector<InvertedIndex> build_shard_indexes(
     const corpus::Collection& collection, std::size_t num_shards,
     const Analyzer& analyzer) {
   QADIST_CHECK(num_shards > 0, << "cannot build zero index shards");
+  const CollectionAnalysis analysis(
+      corpus::SubCollection(&collection, 0,
+                            static_cast<corpus::DocId>(collection.size())),
+      analyzer);
   std::vector<InvertedIndex> shards;
   shards.reserve(num_shards);
   for (const auto& sub : corpus::split_collection(collection, num_shards)) {
-    shards.push_back(InvertedIndex::build(sub, analyzer));
+    shards.push_back(InvertedIndex::build(sub, analysis));
   }
   return shards;
 }

@@ -39,7 +39,8 @@ void save_world_file(const corpus::GeneratedCorpus& world,
 /// `num_shards` contiguous sub-collections (the paper's TREC-9 split into
 /// eight) and each is indexed separately. Shard s indexes sub-collection s,
 /// so the shard striping of PR iterative units (unit % num_shards) lines up
-/// with which index can answer them.
+/// with which index can answer them. The collection is analyzed once and
+/// every shard is built from that analysis.
 [[nodiscard]] std::vector<InvertedIndex> build_shard_indexes(
     const corpus::Collection& collection, std::size_t num_shards,
     const Analyzer& analyzer);

@@ -59,9 +59,7 @@ ParallelAnswerResult parallel_answer_processing(
   const double t0 = now_seconds();
   result.report = executor.run(
       paragraphs.size(), options, [&](std::size_t item, std::size_t worker) {
-        auto answers =
-            engine.answer_processor().process_paragraph(question,
-                                                        paragraphs[item]);
+        auto answers = engine.answer_paragraph(question, paragraphs[item]);
         auto& out = buffers[worker];
         out.insert(out.end(), std::make_move_iterator(answers.begin()),
                    std::make_move_iterator(answers.end()));
@@ -74,7 +72,7 @@ ParallelAnswerResult parallel_answer_processing(
                   std::make_move_iterator(buffer.end()));
   }
   result.answers = qa::sort_answers(
-      std::move(merged), engine.answer_processor().config().answers_requested);
+      std::move(merged), engine.config().answers.answers_requested);
   result.wall = now_seconds() - t0;
   return result;
 }

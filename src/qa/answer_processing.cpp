@@ -48,19 +48,17 @@ bool is_linking_word(std::string_view w) {
          w == "for" || w == "to" || w == "cost" || w == "treat";
 }
 
-/// True when every candidate token is itself a question keyword — i.e. the
-/// candidate is (part of) the question's subject.
-bool candidate_is_subject(const ir::Analyzer& analyzer,
-                          std::span<const std::string> keywords,
-                          const std::vector<ir::Token>& tokens,
+/// True when every non-stopword candidate token maps to a question
+/// keyword — i.e. the candidate is (part of) the question's subject.
+bool candidate_is_subject(const AnalyzedParagraph& text,
+                          const std::vector<int>& keyword_map,
                           const EntityMention& mention) {
   for (std::uint32_t i = mention.first_token;
        i < mention.first_token + mention.token_count; ++i) {
-    const auto& tok = tokens[i];
-    if (ir::is_stopword(tok.text)) continue;
-    const std::string norm = tok.numeric ? tok.text : analyzer.stem(tok.text);
-    if (std::find(keywords.begin(), keywords.end(), norm) == keywords.end())
+    if (keyword_map[i] < 0 &&
+        text.lexicon->norm(text.tokens[i].word()) != ir::kStopword) {
       return false;
+    }
   }
   return true;
 }
@@ -69,10 +67,10 @@ bool candidate_is_subject(const ir::Analyzer& analyzer,
 
 std::vector<Answer> AnswerProcessor::process_paragraph(
     const ProcessedQuestion& question, const ScoredParagraph& paragraph,
-    AnswerWork* work) const {
-  const auto tokens = analyzer_->tokenize(paragraph.paragraph.text);
-  const auto keyword_map = map_keywords(*analyzer_, question.keywords, tokens);
-  const auto mentions = recognizer_->recognize(tokens);
+    const CorpusAnalysis& analysis, AnswerWork* work) const {
+  const AnalyzedParagraph text = analysis.of(paragraph.paragraph);
+  const auto& tokens = text.tokens;
+  const auto keyword_map = map_keywords(text, question.keywords);
 
   if (work != nullptr) {
     ++work->paragraphs_processed;
@@ -82,7 +80,7 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
   const std::size_t k = question.keywords.size();
   std::vector<Answer> answers;
 
-  for (const EntityMention& mention : mentions) {
+  for (const EntityMention& mention : text.mentions) {
     if (work != nullptr) ++work->candidates_considered;
 
     // Type filter: the candidate must carry the expected answer type
@@ -91,8 +89,7 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
         mention.type != question.answer_type) {
       continue;
     }
-    if (candidate_is_subject(*analyzer_, question.keywords, tokens, mention))
-      continue;
+    if (candidate_is_subject(text, keyword_map, mention)) continue;
 
     // --- Build the answer window: candidate plus the nearest occurrence of
     // each present keyword, clipped to max_window_tokens around the
@@ -172,16 +169,19 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
                       static_cast<double>(window_len);
 
     const double h6 =
-        (cand_begin > 0 && is_linking_word(tokens[cand_begin - 1].text)) ? 1.0
-                                                                         : 0.0;
+        (cand_begin > 0 &&
+         is_linking_word(text.lexicon->word(tokens[cand_begin - 1].word())))
+            ? 1.0
+            : 0.0;
 
     const double h7 = std::min(1.0, paragraph.score);
 
     Answer answer;
     answer.score = 0.25 * h1 + 0.20 * h2 + 0.10 * h3 + 0.10 * h4 + 0.10 * h5 +
                    0.15 * h6 + 0.10 * h7;
-    answer.candidate = mention.text;
-    answer.window = trim_window(surface_span(tokens, win_begin, window_len),
+    answer.candidate =
+        surface_span(text, mention.first_token, mention.token_count);
+    answer.window = trim_window(surface_span(text, win_begin, window_len),
                                 answer.candidate,
                                 config_.answer_window_bytes);
     answer.ref = paragraph.paragraph.ref;
@@ -193,10 +193,11 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
 
 std::vector<Answer> AnswerProcessor::process(
     const ProcessedQuestion& question,
-    std::span<const ScoredParagraph> paragraphs, AnswerWork* work) const {
+    std::span<const ScoredParagraph> paragraphs,
+    const CorpusAnalysis& analysis, AnswerWork* work) const {
   std::vector<Answer> all;
   for (const auto& p : paragraphs) {
-    auto batch = process_paragraph(question, p, work);
+    auto batch = process_paragraph(question, p, analysis, work);
     all.insert(all.end(), std::make_move_iterator(batch.begin()),
                std::make_move_iterator(batch.end()));
   }

@@ -3,8 +3,7 @@
 #include <span>
 #include <vector>
 
-#include "ir/analyzer.hpp"
-#include "qa/ner.hpp"
+#include "qa/paragraph_analysis.hpp"
 #include "qa/question.hpp"
 
 namespace qadist::qa {
@@ -19,8 +18,9 @@ struct AnswerWork {
 };
 
 /// Answer Processing (AP): the pipeline's dominant module (69.7% of TREC-9
-/// task time, paper Table 2). For each accepted paragraph it runs the
-/// entity recognizer, keeps candidates matching the question's answer type,
+/// task time, paper Table 2). For each accepted paragraph it reads the
+/// entity mentions recognized when the collection was analyzed (see
+/// CorpusAnalysis), keeps candidates matching the question's answer type,
 /// builds an answer window around each candidate ("text spans that include
 /// the candidate answer and one of each of the question keywords"), and
 /// scores the window with seven heuristics (paper Sec. 2.1, after [27]):
@@ -48,30 +48,25 @@ class AnswerProcessor {
     std::size_t answer_window_bytes = 250;
   };
 
-  AnswerProcessor(const EntityRecognizer& recognizer,
-                  const ir::Analyzer& analyzer)
-      : recognizer_(&recognizer), analyzer_(&analyzer) {}
-  AnswerProcessor(const EntityRecognizer& recognizer,
-                  const ir::Analyzer& analyzer, Config config)
-      : recognizer_(&recognizer), analyzer_(&analyzer), config_(config) {}
+  AnswerProcessor() = default;
+  explicit AnswerProcessor(Config config) : config_(config) {}
 
-  /// Extracts and scores candidate answers from one paragraph. Thread-safe.
+  /// Extracts and scores candidate answers from one paragraph, reading its
+  /// entry in `analysis` (checked against its ref and text). Thread-safe.
   [[nodiscard]] std::vector<Answer> process_paragraph(
       const ProcessedQuestion& question, const ScoredParagraph& paragraph,
-      AnswerWork* work = nullptr) const;
+      const CorpusAnalysis& analysis, AnswerWork* work = nullptr) const;
 
   /// Processes a batch of paragraphs and returns the best
   /// `answers_requested` answers (sorted, deduplicated by candidate).
   [[nodiscard]] std::vector<Answer> process(
       const ProcessedQuestion& question,
       std::span<const ScoredParagraph> paragraphs,
-      AnswerWork* work = nullptr) const;
+      const CorpusAnalysis& analysis, AnswerWork* work = nullptr) const;
 
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  const EntityRecognizer* recognizer_;
-  const ir::Analyzer* analyzer_;
   Config config_;
 };
 

@@ -8,9 +8,9 @@
 namespace qadist::qa {
 
 ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
-                                       RetrievedParagraph paragraph) const {
-  const auto tokens = analyzer_->tokenize(paragraph.text);
-  const auto map = map_keywords(*analyzer_, question.keywords, tokens);
+                                       RetrievedParagraph paragraph,
+                                       const CorpusAnalysis& analysis) const {
+  const auto map = map_keywords(analysis.of(paragraph), question.keywords);
   const std::size_t k = question.keywords.size();
 
   // H1: completeness.
@@ -81,10 +81,13 @@ ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
 
 std::vector<ScoredParagraph> ParagraphScorer::score_all(
     const ProcessedQuestion& question,
-    std::vector<RetrievedParagraph> paragraphs) const {
+    std::vector<RetrievedParagraph> paragraphs,
+    const CorpusAnalysis& analysis) const {
   std::vector<ScoredParagraph> out;
   out.reserve(paragraphs.size());
-  for (auto& p : paragraphs) out.push_back(score(question, std::move(p)));
+  for (auto& p : paragraphs) {
+    out.push_back(score(question, std::move(p), analysis));
+  }
   return out;
 }
 

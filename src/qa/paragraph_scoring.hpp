@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "ir/analyzer.hpp"
+#include "qa/paragraph_analysis.hpp"
 #include "qa/question.hpp"
 
 namespace qadist::qa {
@@ -17,6 +17,9 @@ namespace qadist::qa {
 ///  H2 sequence:     longest run of keywords appearing in question order;
 ///  H3 proximity:    1 / (1 + smallest token window covering all present
 ///                   keywords).
+///
+/// The paragraph's tokens and norms come from its CorpusAnalysis, so the
+/// per-question work is integer keyword matching plus the heuristics.
 class ParagraphScorer {
  public:
   struct Weights {
@@ -25,22 +28,22 @@ class ParagraphScorer {
     double proximity = 0.3;
   };
 
-  explicit ParagraphScorer(const ir::Analyzer& analyzer)
-      : analyzer_(&analyzer) {}
-  ParagraphScorer(const ir::Analyzer& analyzer, Weights weights)
-      : analyzer_(&analyzer), weights_(weights) {}
+  ParagraphScorer() = default;
+  explicit ParagraphScorer(Weights weights) : weights_(weights) {}
 
-  /// Scores one paragraph against the question. Thread-safe.
+  /// Scores one paragraph against the question, reading the paragraph's
+  /// entry in `analysis` (checked against its ref and text). Thread-safe.
   [[nodiscard]] ScoredParagraph score(const ProcessedQuestion& question,
-                                      RetrievedParagraph paragraph) const;
+                                      RetrievedParagraph paragraph,
+                                      const CorpusAnalysis& analysis) const;
 
   /// Convenience: score a whole batch in order.
   [[nodiscard]] std::vector<ScoredParagraph> score_all(
       const ProcessedQuestion& question,
-      std::vector<RetrievedParagraph> paragraphs) const;
+      std::vector<RetrievedParagraph> paragraphs,
+      const CorpusAnalysis& analysis) const;
 
  private:
-  const ir::Analyzer* analyzer_;
   Weights weights_;
 };
 

@@ -4,20 +4,22 @@
 #include <string>
 #include <vector>
 
-#include "ir/analyzer.hpp"
+#include "qa/paragraph_analysis.hpp"
 
 namespace qadist::qa {
 
-/// Maps each paragraph token to the index of the (analyzer-normalized)
-/// keyword it matches, or -1. Shared by paragraph scoring and answer
-/// windowing so both stages agree on what counts as a keyword hit.
+/// Maps each paragraph token to the index of the first (analyzer-
+/// normalized) keyword its norm equals, or -1; stopwords never match.
+/// Shared by paragraph scoring and answer windowing so both stages agree
+/// on what counts as a keyword hit. Integer matching only: each keyword is
+/// looked up in the lexicon once, and each token's norm was computed when
+/// the paragraph was analyzed.
 [[nodiscard]] std::vector<int> map_keywords(
-    const ir::Analyzer& analyzer, std::span<const std::string> keywords,
-    const std::vector<ir::Token>& tokens);
+    const AnalyzedParagraph& paragraph, std::span<const std::string> keywords);
 
 /// Space-joined surface form of a token range, re-capitalizing tokens whose
 /// source was capitalized. (Punctuation between tokens is not recoverable.)
-[[nodiscard]] std::string surface_span(const std::vector<ir::Token>& tokens,
+[[nodiscard]] std::string surface_span(const AnalyzedParagraph& paragraph,
                                        std::size_t first, std::size_t count);
 
 }  // namespace qadist::qa

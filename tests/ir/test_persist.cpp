@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "corpus/generator.hpp"
@@ -108,11 +109,11 @@ TEST(PersistTest, IndexRoundTripPreservesQueries) {
   // Spot-check the postings of the fact subjects' terms.
   for (std::size_t f = 0; f < std::min<std::size_t>(corpus.facts.size(), 10); ++f) {
     for (const auto& term : analyzer.index_terms(corpus.facts[f].subject)) {
-      const auto* a = index.postings(term);
-      const auto* b = loaded.postings(term);
-      ASSERT_NE(a, nullptr) << term;
-      ASSERT_NE(b, nullptr) << term;
-      EXPECT_EQ(*a, *b) << term;
+      const auto a = index.postings(term);
+      const auto b = loaded.postings(term);
+      ASSERT_FALSE(a.empty()) << term;
+      ASSERT_FALSE(b.empty()) << term;
+      EXPECT_TRUE(std::ranges::equal(a, b)) << term;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "qa/question_processing.hpp"
+#include "support/analyzed_text.hpp"
 
 namespace qadist::qa {
 namespace {
@@ -11,7 +12,7 @@ using corpus::EntityType;
 
 class ApTest : public ::testing::Test {
  protected:
-  ApTest() : qp_(analyzer_), ner_(gazetteer_, analyzer_), ap_(ner_, analyzer_) {
+  ApTest() : qp_(analyzer_), ner_(gazetteer_, analyzer_) {
     gazetteer_.add("Port Varen", EntityType::kLocation);
     gazetteer_.add("Lake Tarnin", EntityType::kLocation);
     gazetteer_.add("Doran Veltis", EntityType::kPerson);
@@ -27,6 +28,15 @@ class ApTest : public ::testing::Test {
         score};
   }
 
+  /// AP on a free paragraph through its own analysis.
+  std::vector<Answer> process_paragraph(const ProcessedQuestion& q,
+                                        const ScoredParagraph& p,
+                                        AnswerWork* work = nullptr) const {
+    const auto analysis =
+        testing::analyze_paragraphs(p.paragraph, analyzer_, ner_);
+    return ap_.process_paragraph(q, p, analysis, work);
+  }
+
   corpus::Gazetteer gazetteer_;
   ir::Analyzer analyzer_;
   QuestionProcessor qp_;
@@ -36,7 +46,7 @@ class ApTest : public ::testing::Test {
 
 TEST_F(ApTest, ExtractsTypedCandidate) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
-  const auto answers = ap_.process_paragraph(
+  const auto answers = process_paragraph(
       q, make_paragraph("the Amsen Lighthouse is located in Port Varen ."));
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].candidate, "Port Varen");
@@ -48,14 +58,14 @@ TEST_F(ApTest, ExtractsTypedCandidate) {
 TEST_F(ApTest, SubjectIsNeverItsOwnAnswer) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
   // Only the subject entity appears — no valid candidate remains.
-  const auto answers = ap_.process_paragraph(
+  const auto answers = process_paragraph(
       q, make_paragraph("the Amsen Lighthouse shines at night ."));
   EXPECT_TRUE(answers.empty());
 }
 
 TEST_F(ApTest, WrongTypeCandidatesFiltered) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
-  const auto answers = ap_.process_paragraph(
+  const auto answers = process_paragraph(
       q, make_paragraph(
              "Doran Veltis painted the Amsen Lighthouse in March 3 , 1901 ."));
   // PERSON and DATE candidates must be dropped for a LOCATION question.
@@ -65,16 +75,16 @@ TEST_F(ApTest, WrongTypeCandidatesFiltered) {
 TEST_F(ApTest, UnknownTypeAcceptsAnyEntity) {
   const auto q = qp_.process(0, "Tell me about the Amsen Lighthouse");
   ASSERT_EQ(q.answer_type, EntityType::kUnknown);
-  const auto answers = ap_.process_paragraph(
+  const auto answers = process_paragraph(
       q, make_paragraph("Doran Veltis painted the Amsen Lighthouse ."));
   ASSERT_FALSE(answers.empty());
 }
 
 TEST_F(ApTest, CloserCandidateScoresHigher) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
-  const auto near = ap_.process_paragraph(
+  const auto near = process_paragraph(
       q, make_paragraph("the Amsen Lighthouse is located in Port Varen ."));
-  const auto far = ap_.process_paragraph(
+  const auto far = process_paragraph(
       q, make_paragraph("the Amsen Lighthouse was commissioned long ago by "
                         "the harbor council and painted white and red and "
                         "after many storms it still guides ships toward "
@@ -88,7 +98,7 @@ TEST_F(ApTest, CandidateWithNoNearbyKeywordDropped) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
   // Keywords never occur: candidate has no window.
   const auto answers =
-      ap_.process_paragraph(q, make_paragraph("Port Varen is sunny ."));
+      process_paragraph(q, make_paragraph("Port Varen is sunny ."));
   EXPECT_TRUE(answers.empty());
 }
 
@@ -103,7 +113,8 @@ TEST_F(ApTest, ProcessBatchDeduplicatesAndLimits) {
   batch.push_back(make_paragraph(
       "the Amsen Lighthouse is near Lake Tarnin .", 0.7, 2, 0));
   AnswerWork work;
-  const auto answers = ap_.process(q, batch, &work);
+  const auto analysis = testing::analyze_paragraphs(batch, analyzer_, ner_);
+  const auto answers = ap_.process(q, batch, analysis, &work);
   // Two distinct candidates, Port Varen deduplicated across paragraphs.
   ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers[0].candidate, "Port Varen");
@@ -115,7 +126,7 @@ TEST_F(ApTest, ProcessBatchDeduplicatesAndLimits) {
 TEST_F(ApTest, WorkCountersAccumulate) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
   AnswerWork work;
-  (void)ap_.process_paragraph(
+  (void)process_paragraph(
       q, make_paragraph("the Amsen Lighthouse is located in Port Varen ."),
       &work);
   EXPECT_EQ(work.paragraphs_processed, 1u);

@@ -5,6 +5,7 @@
 
 #include "qa/answer_processing.hpp"
 #include "qa/question_processing.hpp"
+#include "support/analyzed_text.hpp"
 
 namespace qadist::qa {
 namespace {
@@ -39,9 +40,11 @@ class AnswerWindowTest : public ::testing::TestWithParam<std::size_t> {
 TEST_P(AnswerWindowTest, WindowRespectsByteBudget) {
   AnswerProcessor::Config cfg;
   cfg.answer_window_bytes = GetParam();
-  AnswerProcessor ap(ner_, analyzer_, cfg);
+  AnswerProcessor ap(cfg);
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
-  const auto answers = ap.process_paragraph(q, long_paragraph());
+  const auto p = long_paragraph();
+  const auto answers = ap.process_paragraph(
+      q, p, testing::analyze_paragraphs(p.paragraph, analyzer_, ner_));
   ASSERT_FALSE(answers.empty());
   for (const auto& a : answers) {
     EXPECT_LE(a.window.size(), GetParam())
@@ -64,14 +67,15 @@ TEST(AnswerWindowDefaultTest, ShortWindowsUntouched) {
   ir::Analyzer analyzer;
   QuestionProcessor qp(analyzer);
   EntityRecognizer ner(gazetteer, analyzer);
-  AnswerProcessor ap(ner, analyzer);
+  AnswerProcessor ap;
   const auto q = qp.process(0, "Where is the Amsen Lighthouse ?");
   const ScoredParagraph p{
       RetrievedParagraph{corpus::ParagraphRef{0, 0},
                          "the Amsen Lighthouse is located in Port Varen .",
                          0},
       0.8};
-  const auto answers = ap.process_paragraph(q, p);
+  const auto answers = ap.process_paragraph(
+      q, p, testing::analyze_paragraphs(p.paragraph, analyzer, ner));
   ASSERT_FALSE(answers.empty());
   // The window is shorter than the 250-byte default: intact.
   EXPECT_NE(answers[0].window.find("located in Port Varen"),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "qa/text_match.hpp"
+#include "support/analyzed_text.hpp"
+
 namespace qadist::qa {
 namespace {
 
@@ -17,6 +20,23 @@ class NerTest : public ::testing::Test {
     gazetteer_.add("Velinosis", EntityType::kDisease);
   }
 
+  /// A mention with its surface text.
+  struct Found : EntityMention {
+    std::string text;
+  };
+
+  /// recognize_text's mentions of `text`, each with its surface form.
+  std::vector<Found> recognize(std::string text) const {
+    const RetrievedParagraph p{corpus::ParagraphRef{0, 0}, std::move(text), 0};
+    const auto analysis = testing::analyze_paragraphs(p, analyzer_, ner_);
+    std::vector<Found> out;
+    for (const auto& m : ner_.recognize_text(p.text)) {
+      out.push_back(Found{
+          m, surface_span(analysis.of(p), m.first_token, m.token_count)});
+    }
+    return out;
+  }
+
   corpus::Gazetteer gazetteer_;
   ir::Analyzer analyzer_;
   EntityRecognizer ner_{gazetteer_, analyzer_};
@@ -24,7 +44,7 @@ class NerTest : public ::testing::Test {
 
 TEST_F(NerTest, FindsGazetteerEntities) {
   const auto mentions =
-      ner_.recognize_text("Doran Veltis sailed to Port Amsen yesterday .");
+      recognize("Doran Veltis sailed to Port Amsen yesterday .");
   ASSERT_EQ(mentions.size(), 2u);
   EXPECT_EQ(mentions[0].type, EntityType::kPerson);
   EXPECT_EQ(mentions[0].text, "Doran Veltis");
@@ -34,7 +54,7 @@ TEST_F(NerTest, FindsGazetteerEntities) {
 
 TEST_F(NerTest, PrefersLongestMatch) {
   // "Amsen Steel Works" must win over any shorter prefix.
-  const auto mentions = ner_.recognize_text("workers at Amsen Steel Works");
+  const auto mentions = recognize("workers at Amsen Steel Works");
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].type, EntityType::kOrganization);
   EXPECT_EQ(mentions[0].token_count, 3u);
@@ -42,39 +62,39 @@ TEST_F(NerTest, PrefersLongestMatch) {
 
 TEST_F(NerTest, ArticleLedEntity) {
   const auto mentions =
-      ner_.recognize_text("the Amsen Lighthouse is located in Port Amsen .");
+      recognize("the Amsen Lighthouse is located in Port Amsen .");
   ASSERT_EQ(mentions.size(), 2u);
   EXPECT_EQ(mentions[0].text, "the Amsen Lighthouse");
 }
 
 TEST_F(NerTest, DatePatterns) {
-  const auto full = ner_.recognize_text("founded in March 14 , 1912 .");
+  const auto full = recognize("founded in March 14 , 1912 .");
   ASSERT_EQ(full.size(), 1u);
   EXPECT_EQ(full[0].type, EntityType::kDate);
   EXPECT_EQ(full[0].token_count, 3u);
 
-  const auto year_only = ner_.recognize_text("built around 1885 by settlers");
+  const auto year_only = recognize("built around 1885 by settlers");
   ASSERT_EQ(year_only.size(), 1u);
   EXPECT_EQ(year_only[0].type, EntityType::kDate);
   EXPECT_LT(year_only[0].confidence, 1.0);
 }
 
 TEST_F(NerTest, MoneyPattern) {
-  const auto mentions = ner_.recognize_text("it cost $ 12 million overall");
+  const auto mentions = recognize("it cost $ 12 million overall");
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].type, EntityType::kMoney);
   EXPECT_EQ(mentions[0].text, "$ 12 million");
 }
 
 TEST_F(NerTest, QuantityPattern) {
-  const auto mentions = ner_.recognize_text("a population of 3400000 people");
+  const auto mentions = recognize("a population of 3400000 people");
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].type, EntityType::kQuantity);
   EXPECT_EQ(mentions[0].text, "3400000");
 }
 
 TEST_F(NerTest, SmallNumbersIgnored) {
-  const auto mentions = ner_.recognize_text("we saw 12 ships and 42 gulls");
+  const auto mentions = recognize("we saw 12 ships and 42 gulls");
   EXPECT_TRUE(mentions.empty());
 }
 
@@ -82,18 +102,18 @@ TEST_F(NerTest, UncapitalizedWordsNotLookedUp) {
   // "velinosis" in lowercase prose: the gazetteer scan requires a
   // capitalized opener, so only the capitalized mention is found.
   const auto mentions =
-      ner_.recognize_text("Velinosis spreads fast ; velinosis is rare");
+      recognize("Velinosis spreads fast ; velinosis is rare");
   // Lowercase "velinosis" is skipped by the capitalization gate.
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].first_token, 0u);
 }
 
 TEST_F(NerTest, EmptyText) {
-  EXPECT_TRUE(ner_.recognize_text("").empty());
+  EXPECT_TRUE(recognize("").empty());
 }
 
 TEST_F(NerTest, MentionsAreNonOverlapping) {
-  const auto mentions = ner_.recognize_text(
+  const auto mentions = recognize(
       "Doran Veltis met Doran Veltis at Port Amsen near Port Amsen in March "
       "3 , 1920 with $ 5 million and 123456 coins");
   for (std::size_t i = 1; i < mentions.size(); ++i) {

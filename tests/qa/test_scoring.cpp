@@ -4,13 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "qa/question_processing.hpp"
+#include "support/analyzed_text.hpp"
 
 namespace qadist::qa {
 namespace {
 
 class ScoringTest : public ::testing::Test {
  protected:
-  ScoringTest() : qp_(analyzer_), scorer_(analyzer_) {}
+  ScoringTest() : qp_(analyzer_), ner_(gazetteer_, analyzer_) {}
 
   RetrievedParagraph make_paragraph(std::string text,
                                     corpus::DocId doc = 0,
@@ -19,25 +20,34 @@ class ScoringTest : public ::testing::Test {
                               0};
   }
 
+  /// Scores a free paragraph through its own analysis.
+  ScoredParagraph score(const ProcessedQuestion& q,
+                        RetrievedParagraph p) const {
+    const auto analysis = testing::analyze_paragraphs(p, analyzer_, ner_);
+    return scorer_.score(q, std::move(p), analysis);
+  }
+
+  corpus::Gazetteer gazetteer_;
   ir::Analyzer analyzer_;
   QuestionProcessor qp_;
+  EntityRecognizer ner_;
   ParagraphScorer scorer_;
 };
 
 TEST_F(ScoringTest, AllKeywordsBeatSomeKeywords) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
-  const auto full = scorer_.score(
+  const auto full = score(
       q, make_paragraph("the amsen lighthouse is located in port varen ."));
   const auto partial =
-      scorer_.score(q, make_paragraph("the lighthouse is very old ."));
+      score(q, make_paragraph("the lighthouse is very old ."));
   EXPECT_GT(full.score, partial.score);
 }
 
 TEST_F(ScoringTest, AdjacentKeywordsBeatScattered) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
   const auto adjacent =
-      scorer_.score(q, make_paragraph("the amsen lighthouse stands here ."));
-  const auto scattered = scorer_.score(
+      score(q, make_paragraph("the amsen lighthouse stands here ."));
+  const auto scattered = score(
       q, make_paragraph("amsen wool trade and later the harbor grew and a "
                         "lighthouse appeared ."));
   EXPECT_GT(adjacent.score, scattered.score);
@@ -46,9 +56,9 @@ TEST_F(ScoringTest, AdjacentKeywordsBeatScattered) {
 TEST_F(ScoringTest, QuestionOrderBeatsReversedOrder) {
   const auto q = qp_.process(0, "Who founded Amsen Steel Works ?");
   // Keywords: found, amsen, steel, works (question order).
-  const auto ordered = scorer_.score(
+  const auto ordered = score(
       q, make_paragraph("records say he founded amsen steel works with ease"));
-  const auto reversed = scorer_.score(
+  const auto reversed = score(
       q, make_paragraph("records say works steel amsen founded with ease he"));
   EXPECT_GT(ordered.score, reversed.score);
 }
@@ -56,21 +66,21 @@ TEST_F(ScoringTest, QuestionOrderBeatsReversedOrder) {
 TEST_F(ScoringTest, NoKeywordsScoresZero) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
   const auto none =
-      scorer_.score(q, make_paragraph("unrelated words entirely here ."));
+      score(q, make_paragraph("unrelated words entirely here ."));
   EXPECT_DOUBLE_EQ(none.score, 0.0);
 }
 
 TEST_F(ScoringTest, ScoreIsBounded) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
   const auto best =
-      scorer_.score(q, make_paragraph("amsen lighthouse"));
+      score(q, make_paragraph("amsen lighthouse"));
   EXPECT_LE(best.score, 1.0 + 1e-12);
   EXPECT_GE(best.score, 0.0);
 }
 
 TEST_F(ScoringTest, EmptyParagraph) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
-  const auto scored = scorer_.score(q, make_paragraph(""));
+  const auto scored = score(q, make_paragraph(""));
   EXPECT_DOUBLE_EQ(scored.score, 0.0);
 }
 
@@ -79,7 +89,8 @@ TEST_F(ScoringTest, ScoreAllPreservesOrderAndCount) {
   std::vector<RetrievedParagraph> batch;
   batch.push_back(make_paragraph("amsen lighthouse", 0, 0));
   batch.push_back(make_paragraph("nothing", 0, 1));
-  const auto scored = scorer_.score_all(q, std::move(batch));
+  const auto analysis = testing::analyze_paragraphs(batch, analyzer_, ner_);
+  const auto scored = scorer_.score_all(q, std::move(batch), analysis);
   ASSERT_EQ(scored.size(), 2u);
   EXPECT_EQ(scored[0].paragraph.ref, (corpus::ParagraphRef{0, 0}));
   EXPECT_EQ(scored[1].paragraph.ref, (corpus::ParagraphRef{0, 1}));

@@ -19,10 +19,12 @@ struct Token {
 /// would discard.
 [[nodiscard]] bool is_stopword(std::string_view word);
 
-/// Text analysis bundle shared by the indexer, the query side, and the
-/// scorers: tokenization, stopping, and a light suffix stemmer. Index terms
-/// and query keywords MUST come from the same analyzer or postings won't
-/// line up — hence one type owning all three steps.
+/// Text analysis bundle shared by the indexer and the query side:
+/// tokenization, stopping, and a light suffix stemmer. Index terms and
+/// query keywords MUST come from the same analyzer or postings won't line
+/// up — hence one type owning all three steps. Paragraph text goes through
+/// it once, when a CollectionAnalysis is built; question text through
+/// index_terms.
 class Analyzer {
  public:
   /// Splits into tokens: maximal runs of alphanumerics; '$' is its own
@@ -34,7 +36,9 @@ class Analyzer {
   /// Deliberately conservative: never stems below 3 characters.
   [[nodiscard]] std::string stem(std::string_view word) const;
 
-  /// Lowercased, stemmed, stopword-free terms for indexing a text.
+  /// Lowercased, stemmed, stopword-free terms of a text (numbers kept
+  /// verbatim): a question's keywords, normalized exactly as
+  /// CollectionAnalysis normalizes paragraph words.
   [[nodiscard]] std::vector<std::string> index_terms(
       std::string_view text) const;
 };

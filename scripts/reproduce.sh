@@ -77,9 +77,10 @@ done
 echo "$json_count bench JSON reports in results/."
 
 # One index over all structured reports: results/INDEX.json lists every
-# BENCH_*.json with its bench name, schema, and metric names, plus the
-# pinned adversarial scenario corpus (results/scenarios/*.json, replayed
-# by bench_adversarial), so tooling can discover the exhibits without
+# BENCH_*.json with its bench name, schema, and metric names (and, for the
+# micro reports, their benchmark names), plus the pinned adversarial
+# scenario corpus (results/scenarios/*.json, replayed by
+# bench_adversarial), so tooling can discover the exhibits without
 # globbing.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'PY'
@@ -98,14 +99,21 @@ for path in sorted(glob.glob("results/BENCH_*.json")):
         continue
     metrics = sorted({m.get("name", "") for m in doc.get("metrics", [])})
     mtime = os.path.getmtime(path)
-    benches.append({
+    entry = {
         "file": path,
         "bench": doc.get("bench", ""),
         "schema": doc.get("schema", ""),
         "metrics": metrics,
-        "mtime": datetime.datetime.fromtimestamp(
-            mtime, datetime.timezone.utc).isoformat(),
-    })
+    }
+    # Micro reports label every metric with its google-benchmark name.
+    benchmarks = sorted({m["labels"]["benchmark"]
+                         for m in doc.get("metrics", [])
+                         if "benchmark" in m.get("labels", {})})
+    if benchmarks:
+        entry["benchmarks"] = benchmarks
+    entry["mtime"] = datetime.datetime.fromtimestamp(
+        mtime, datetime.timezone.utc).isoformat()
+    benches.append(entry)
 
 scenarios = []
 for path in sorted(glob.glob("results/scenarios/*.json")):

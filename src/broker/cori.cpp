@@ -16,29 +16,35 @@ std::vector<double> score_shards(const CollectionStats& stats,
   const double avg_cw = std::max(stats.average_words(), 1.0);
   const double log_c = std::log(c + 1.0);
 
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const ir::ShardTermStats& shard = stats.shard(s);
-    const double cw_ratio = static_cast<double>(shard.words) / avg_cw;
-    double belief_sum = 0.0;
-    std::size_t scored_terms = 0;
-    for (const std::string& keyword : keywords) {
-      const std::size_t cf = stats.shards_containing(keyword);
-      // A term no shard contains cannot discriminate between shards (and
-      // cf = 0 would make I blow up); it contributes no evidence at all.
-      if (cf == 0) continue;
-      ++scored_terms;
-      const auto it = shard.df.find(keyword);
-      const double df = it == shard.df.end()
-                            ? 0.0
-                            : static_cast<double>(it->second);
+  // Keyword-major: cf and I once per keyword, from the keyword's run of
+  // holders. Each shard's belief sum still accumulates over the keywords
+  // in keyword order, with a shard absent from the run taking df = 0.
+  std::vector<double> belief_sum(num_shards, 0.0);
+  std::size_t scored_terms = 0;
+  for (const std::string& keyword : keywords) {
+    const auto holders = stats.shards_with(keyword);
+    // A term no shard contains cannot discriminate between shards (and
+    // cf = 0 would make I blow up); it contributes no evidence at all.
+    if (holders.empty()) continue;
+    ++scored_terms;
+    const double i_belief =
+        std::log((c + 0.5) / static_cast<double>(holders.size())) / log_c;
+    auto next = holders.begin();
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      double df = 0.0;
+      if (next != holders.end() && next->shard == s) {
+        df = static_cast<double>(next->df);
+        ++next;
+      }
+      const double cw_ratio = static_cast<double>(stats.words(s)) / avg_cw;
       const double t_belief = df / (df + 50.0 + 150.0 * cw_ratio);
-      const double i_belief =
-          std::log((c + 0.5) / static_cast<double>(cf)) / log_c;
-      belief_sum += kCoriDefaultBelief +
-                    (1.0 - kCoriDefaultBelief) * t_belief * i_belief;
+      belief_sum[s] += kCoriDefaultBelief +
+                       (1.0 - kCoriDefaultBelief) * t_belief * i_belief;
     }
-    if (scored_terms > 0) {
-      scores[s] = belief_sum / static_cast<double>(scored_terms);
+  }
+  if (scored_terms > 0) {
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      scores[s] = belief_sum[s] / static_cast<double>(scored_terms);
     }
   }
   return scores;

@@ -56,6 +56,8 @@ System::System(simnet::Simulation& sim, const SystemConfig& config)
       kMonitorPeriod, config.net.suspect_after_missed, kMembershipTimeout});
   if (config.tail.enabled()) {
     leg_latency_ = sched::LegLatencyTracker(config.nodes, kEwmaAlpha);
+    leg_walls_.fill(
+        RunningQuantile(std::clamp(config.tail.hedge_quantile, 0.0, 1.0)));
   }
   if (config.gray.enabled()) {
     gray_extra_latency_.assign(config.nodes, 0.0);
@@ -287,26 +289,20 @@ void System::observe_leg(sched::LegStage stage, NodeId node, Seconds wall,
   // over-hedge. Normalizing by units keeps legs of different sizes
   // comparable — the trigger scales back up by each leg's own unit count.
   if (!backup && units > 0.0) {
-    leg_walls_[static_cast<std::size_t>(stage)].push_back(wall / units);
+    leg_walls_[static_cast<std::size_t>(stage)].add(wall / units);
   }
   leg_latency_.observe(node, stage, wall, units);
 }
 
 std::optional<Seconds> System::hedge_delay(sched::LegStage stage) const {
-  const std::vector<double>& walls =
-      leg_walls_[static_cast<std::size_t>(stage)];
-  if (walls.size() < kHedgeMinSamples) return std::nullopt;
-  // Quantile over the completed-leg per-unit walls observed so far (the
-  // live analogue of the "issue the backup after the p95" rule).
-  // nth_element on a scratch copy: O(n) per dispatch round, and the
-  // observation order is deterministic so the trigger is too. Callers
-  // scale by the waiting leg's unit count and apply kHedgeMinDelay.
-  std::vector<double> scratch = walls;
-  const double q = std::clamp(config_.tail.hedge_quantile, 0.0, 1.0);
-  const auto nth = static_cast<std::ptrdiff_t>(
-      q * static_cast<double>(scratch.size() - 1));
-  std::nth_element(scratch.begin(), scratch.begin() + nth, scratch.end());
-  return scratch[static_cast<std::size_t>(nth)];
+  // The configured quantile of the completed-leg per-unit walls observed
+  // so far (the live analogue of the "send the backup after the p95"
+  // rule), kept as an exact running order statistic: the observation
+  // order is deterministic, so the trigger is too. Callers scale by the
+  // waiting leg's unit count and apply kHedgeMinDelay.
+  const RunningQuantile& walls = leg_walls_[static_cast<std::size_t>(stage)];
+  if (walls.count() < kHedgeMinSamples) return std::nullopt;
+  return walls.value();
 }
 
 std::span<const char> System::straggler_mask(sched::LegStage stage) {

@@ -16,6 +16,7 @@
 #include "cluster/metrics.hpp"
 #include "cluster/names.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "cluster/node.hpp"
 #include "cluster/plan.hpp"
 #include "obs/registry.hpp"
@@ -755,7 +756,7 @@ class System {
   sched::LoadTable table_;
   /// Tail-tolerance state (untouched while config().tail is disabled).
   sched::LegLatencyTracker leg_latency_;
-  std::array<std::vector<double>, sched::kLegStages> leg_walls_;
+  std::array<RunningQuantile, sched::kLegStages> leg_walls_;
   std::vector<char> straggler_scratch_;
   /// Gray-fault state (empty when disabled): per-node effective extra
   /// link latency, and which plan events are currently open per node.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -106,6 +107,43 @@ double Samples::max() const {
   QADIST_CHECK(!values_.empty(), << "quantile of empty sample set");
   if (sorted_) return values_.back();
   return *std::max_element(values_.begin(), values_.end());
+}
+
+RunningQuantile::RunningQuantile(double q) : q_(q) {
+  QADIST_CHECK(q >= 0.0 && q <= 1.0, << "quantile " << q << " out of range");
+}
+
+void RunningQuantile::add(double x) {
+  QADIST_CHECK(!std::isnan(x), << "NaN would corrupt the heap ordering");
+  if (lower_.empty() || x <= lower_.front()) {
+    lower_.push_back(x);
+    std::push_heap(lower_.begin(), lower_.end());
+  } else {
+    upper_.push_back(x);
+    std::push_heap(upper_.begin(), upper_.end(), std::greater<>{});
+  }
+  // Every sample in lower_ is <= every sample in upper_; move boundary
+  // samples across until lower_ holds exactly rank+1 of them.
+  const auto rank = static_cast<std::ptrdiff_t>(
+      q_ * static_cast<double>(count() - 1));
+  const auto keep = static_cast<std::size_t>(rank) + 1;
+  while (lower_.size() > keep) {
+    std::pop_heap(lower_.begin(), lower_.end());
+    upper_.push_back(lower_.back());
+    lower_.pop_back();
+    std::push_heap(upper_.begin(), upper_.end(), std::greater<>{});
+  }
+  while (lower_.size() < keep) {
+    std::pop_heap(upper_.begin(), upper_.end(), std::greater<>{});
+    lower_.push_back(upper_.back());
+    upper_.pop_back();
+    std::push_heap(lower_.begin(), lower_.end());
+  }
+}
+
+double RunningQuantile::value() const {
+  QADIST_CHECK(!lower_.empty(), << "quantile of empty sample set");
+  return lower_.front();
 }
 
 std::string Samples::summary() const {

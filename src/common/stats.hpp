@@ -91,6 +91,32 @@ class Samples {
   bool sorted_ = true;
 };
 
+/// Exact running order statistic: after n add()s, value() is the sample at
+/// 0-based rank ⌊q·(n−1)⌋ of the values seen so far — the element
+/// nth_element would place there, bit for bit (ties included: the value at
+/// a rank is unique). Two heaps split the samples at that rank: a max-heap
+/// of the rank+1 smallest and a min-heap of the rest, so add() costs
+/// O(log n) and value() O(1).
+class RunningQuantile {
+ public:
+  RunningQuantile() = default;
+  /// q in [0, 1].
+  explicit RunningQuantile(double q);
+
+  void add(double x);
+
+  [[nodiscard]] std::size_t count() const {
+    return lower_.size() + upper_.size();
+  }
+  /// The value at rank ⌊q·(count−1)⌋. Panics when empty.
+  [[nodiscard]] double value() const;
+
+ private:
+  double q_ = 0.5;
+  std::vector<double> lower_;  // max-heap: the rank+1 smallest samples
+  std::vector<double> upper_;  // min-heap: every other sample
+};
+
 /// Fixed-width histogram over [lo, hi); finite out-of-range samples clamp
 /// to the edge buckets, non-finite samples (NaN, ±inf) are tallied in a
 /// dedicated counter instead of being bucketed. Used for service-time

@@ -1,5 +1,7 @@
 #include "sched/failure_detector.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace qadist::sched {
@@ -38,6 +40,7 @@ PeerState FailureDetector::heartbeat(NodeId node, Seconds now) {
   p.known = true;
   p.state = PeerState::kAlive;
   p.last_heard = now;
+  alive_floor_ = std::min(alive_floor_, now);
   return before;
 }
 
@@ -51,6 +54,7 @@ void FailureDetector::suspect_hint(NodeId node, Seconds now) {
   if (p.state == PeerState::kAlive) {
     p.state = PeerState::kSuspect;
     ++suspicions_raised_;
+    suspect_floor_ = std::min(suspect_floor_, p.last_heard);
   }
 }
 
@@ -58,6 +62,15 @@ std::vector<DetectorTransition> FailureDetector::sweep(Seconds now) {
   std::vector<DetectorTransition> fired;
   const Seconds suspect_after =
       config_.suspect_after_missed * config_.heartbeat_period;
+  // Every alive (suspect) peer was last heard no earlier than the alive
+  // (suspect) floor, and subtraction is monotone: unless a floor's silence
+  // passes its threshold, no peer's does, and a scan would fire nothing.
+  if (!(now - alive_floor_ > suspect_after) &&
+      !(now - suspect_floor_ > config_.confirm_dead_after)) {
+    return fired;
+  }
+  alive_floor_ = std::numeric_limits<Seconds>::infinity();
+  suspect_floor_ = std::numeric_limits<Seconds>::infinity();
   for (NodeId id = 0; id < peers_.size(); ++id) {
     Peer& p = peers_[id];
     if (!p.known || p.state == PeerState::kDead) continue;
@@ -73,6 +86,11 @@ std::vector<DetectorTransition> FailureDetector::sweep(Seconds now) {
       p.state = PeerState::kDead;
       ++deaths_confirmed_;
       fired.push_back({id, PeerState::kSuspect, PeerState::kDead});
+    }
+    if (p.state == PeerState::kAlive) {
+      alive_floor_ = std::min(alive_floor_, p.last_heard);
+    } else if (p.state == PeerState::kSuspect) {
+      suspect_floor_ = std::min(suspect_floor_, p.last_heard);
     }
   }
   return fired;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -91,6 +92,11 @@ class FailureDetector {
 
   FailureDetectorConfig config_;
   std::vector<Peer> peers_;  // indexed by NodeId
+  // Lower bounds on last_heard over the kAlive and over the kSuspect peers
+  // (+inf while there are none). sweep() scans only when one of them has
+  // crossed its threshold, and a scan makes both exact again.
+  Seconds alive_floor_ = std::numeric_limits<Seconds>::infinity();
+  Seconds suspect_floor_ = std::numeric_limits<Seconds>::infinity();
   std::uint64_t suspicions_raised_ = 0;
   std::uint64_t suspicions_cleared_ = 0;
   std::uint64_t deaths_confirmed_ = 0;

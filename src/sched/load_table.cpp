@@ -1,5 +1,7 @@
 #include "sched/load_table.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace qadist::sched {
@@ -24,6 +26,7 @@ void LoadTable::update(NodeId node, const ResourceLoad& load, Seconds now,
   e.reserved.cpu *= reservation_keep;
   e.reserved.disk *= reservation_keep;
   e.last_update = now;
+  update_floor_ = std::min(update_floor_, now);
 }
 
 void LoadTable::reserve(NodeId node, const ResourceLoad& delta) {
@@ -50,8 +53,13 @@ bool LoadTable::is_stale(NodeId node) const {
 }
 
 void LoadTable::expire(Seconds now, Seconds timeout) {
+  // Every member updated no earlier than the floor, and subtraction is
+  // monotone: unless the floor has aged past the timeout, no member has.
+  if (!(now - update_floor_ > timeout)) return;
+  update_floor_ = std::numeric_limits<Seconds>::infinity();
   for (auto& e : entries_) {
     if (e.alive && now - e.last_update > timeout) e.alive = false;
+    if (e.alive) update_floor_ = std::min(update_floor_, e.last_update);
   }
 }
 

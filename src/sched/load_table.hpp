@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -81,6 +82,9 @@ class LoadTable {
   };
 
   std::vector<Entry> entries_;  // indexed by NodeId
+  // Lower bound on last_update over the members (+inf while there are
+  // none): expire() scans only once it is older than the timeout.
+  Seconds update_floor_ = std::numeric_limits<Seconds>::infinity();
 
   Entry& entry(NodeId node);
   [[nodiscard]] const Entry* find(NodeId node) const;

@@ -1,6 +1,8 @@
 #include "simnet/simulation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.hpp"
@@ -19,19 +21,32 @@ void Simulation::schedule_at(Seconds when, std::function<void()> fn) {
   QADIST_CHECK(!std::isnan(when),
                << "NaN timestamp would corrupt the event-queue ordering");
   if (when < now_) when = now_;
-  queue_.push(Entry{when, next_seq_++, std::move(fn)});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    QADIST_CHECK(slots_.size() < UINT32_MAX, << "too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  heap_.push_back(Key{when, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Simulation::step() {
-  if (queue_.empty()) return false;
-  // priority_queue::top() is const; moving the callback out requires a copy
-  // otherwise, so we const_cast the known-unique top entry.
-  auto& top = const_cast<Entry&>(queue_.top());
-  Seconds when = top.when;
-  auto fn = std::move(top.fn);
-  queue_.pop();
-  QADIST_CHECK(when >= now_, << "time went backwards: " << when << " < " << now_);
-  now_ = when;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key top = heap_.back();
+  heap_.pop_back();
+  QADIST_CHECK(top.when >= now_,
+               << "time went backwards: " << top.when << " < " << now_);
+  // Move the callback out and free its slot before invoking it: the
+  // callback may schedule into that very slot.
+  std::function<void()> fn = std::move(slots_[top.slot]);
+  free_slots_.push_back(top.slot);
+  now_ = top.when;
   ++executed_;
   fn();
   return true;
@@ -44,7 +59,7 @@ Seconds Simulation::run() {
 }
 
 Seconds Simulation::run_until(Seconds deadline) {
-  while (!queue_.empty() && queue_.top().when <= deadline) {
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     step();
   }
   if (now_ < deadline) now_ = deadline;

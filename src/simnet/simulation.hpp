@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/units.hpp"
@@ -31,7 +30,7 @@ class Simulation {
   /// Schedules `fn` to run at `now() + delay`. Negative delays are clamped
   /// to zero (events never fire in the past); a NaN delay panics — NaN
   /// compares false against everything, so admitting one would silently
-  /// corrupt the priority-queue ordering.
+  /// corrupt the event-heap ordering.
   void schedule(Seconds delay, std::function<void()> fn);
 
   /// Schedules `fn` at an absolute simulated time (>= now()).
@@ -47,18 +46,21 @@ class Simulation {
   /// Executes at most one event. Returns false if the queue was empty.
   bool step();
 
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
-  struct Entry {
+  /// Heap key (24 bytes): the callback stays put in `slots_` while the key
+  /// moves through the heap's sifts.
+  struct Key {
     Seconds when;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24);
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
@@ -67,7 +69,9 @@ class Simulation {
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Key> heap_;  // binary min-heap on (when, seq)
+  std::vector<std::function<void()>> slots_;
+  std::vector<std::uint32_t> free_slots_;  // indices of empty slots_
 };
 
 }  // namespace qadist::simnet

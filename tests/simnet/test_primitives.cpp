@@ -263,6 +263,7 @@ TEST(ResourceTest, LeaseResetReleasesEarly) {
   }(sim, res);
   sim.run_until(2.0);
   EXPECT_EQ(res.available(), 1);
+  sim.run();
 }
 
 TEST(ResourceTest, LeaseMoveTransfersOwnership) {

@@ -10,6 +10,24 @@
 #include "parallel/qa_stages.hpp"
 #include "qa/engine.hpp"
 
+namespace {
+
+/// Equal answer lists: candidate, score, window, paragraph and type.
+bool same_answers(const std::vector<qadist::qa::Answer>& a,
+                  const std::vector<qadist::qa::Answer>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].candidate != b[i].candidate || a[i].score != b[i].score ||
+        a[i].window != b[i].window || a[i].ref != b[i].ref ||
+        a[i].type != b[i].type) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 int main() {
   using namespace qadist;
   using parallel::ExecutorOptions;
@@ -25,7 +43,7 @@ int main() {
   const qa::Engine engine(world, ec);
   const auto questions = corpus::generate_questions(world, 12, /*seed=*/1);
 
-  parallel::ThreadPool pool(4);
+  parallel::ThreadPool pool(3);  // RECV's 4 workers include the caller
   ExecutorOptions pr_options;
   pr_options.strategy = Strategy::kRecv;
   pr_options.workers = 4;
@@ -42,11 +60,8 @@ int main() {
     const auto parallel_result = parallel::answer_parallel(
         engine, q.id, q.text, pool, pr_options, ap_options);
 
-    bool match = sequential.answers.size() == parallel_result.answers.size();
-    for (std::size_t i = 0; match && i < sequential.answers.size(); ++i) {
-      match = sequential.answers[i].candidate ==
-              parallel_result.answers[i].candidate;
-    }
+    const bool match =
+        same_answers(sequential.answers, parallel_result.answers);
     table.add_row(
         {q.text.substr(0, 44),
          parallel_result.answers.empty()

@@ -41,13 +41,21 @@ struct ExecutorReport {
 ///    the distribution loop of paper Fig. 5(c).
 ///  * RECV (receiver-controlled): workers self-schedule over equal chunks;
 ///    a failing worker's unfinished chunk remainder returns to the chunk
-///    set and the worker leaves the pool — paper Fig. 6(b).
+///    set and the worker leaves the pool — paper Fig. 6(b). `workers`
+///    counts the calling thread: it runs as worker 0 and the pool runs at
+///    most workers - 1 helpers, so a pool of workers - 1 threads gives
+///    full width. run() returns as soon as every item is done; it never
+///    waits for a helper that has not started. A remainder no running
+///    worker will take is drained by the caller, as a new round.
 ///
 /// Guarantee (tested): `fn` is invoked exactly once per item as long as at
-/// least one worker survives; otherwise run() aborts via QADIST_CHECK.
+/// least one worker survives; otherwise run() aborts via QADIST_CHECK. An
+/// exception from `fn` stops further dispatch and is rethrown from run()
+/// once no `fn` call is in progress; the pool stays usable.
 ///
 /// `fn(item, worker)` may run concurrently with itself on different items
-/// and must be thread-safe with respect to shared state it touches.
+/// and must be thread-safe with respect to shared state it touches. Two
+/// calls with the same `worker` never overlap.
 class PartitionedExecutor {
  public:
   explicit PartitionedExecutor(ThreadPool& pool) : pool_(&pool) {}

@@ -1,6 +1,9 @@
 #include "parallel/qa_stages.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <unordered_map>
 
 #include "common/check.hpp"
 
@@ -14,6 +17,84 @@ double now_seconds() {
       .count();
 }
 
+/// A per-worker (or per-unit) buffer alone on its cache line.
+template <typename T>
+struct alignas(64) Padded {
+  T value;
+};
+
+/// One worker's answers, deduplicated by candidate and cut to the best
+/// `limit` candidates as they arrive.
+///
+/// Each candidate keeps its best answer under sort_answers' first-seen
+/// rule: a higher score wins, and an equal score from an earlier accepted
+/// paragraph wins (the sequential pipeline meets that paragraph first).
+/// `top_` holds the best `limit` candidates by (score desc, candidate asc),
+/// exactly: a candidate's key only rises, so one that drops out re-enters
+/// only through a later, better answer of its own.
+///
+/// Offering every worker's top to one more TopAnswers yields the global
+/// top `limit`, with the answers the sequential pipeline keeps: a candidate
+/// missing from its best worker's top has `limit` distinct candidates ahead
+/// of it there, and therefore also globally.
+class TopAnswers {
+ public:
+  struct Ranked {
+    qa::Answer answer;
+    std::size_t paragraph = 0;  ///< index among the accepted paragraphs
+  };
+
+  explicit TopAnswers(std::size_t limit) : limit_(limit) {}
+
+  void offer(qa::Answer&& answer, std::size_t paragraph) {
+    if (limit_ == 0) return;
+    const auto [it, fresh] =
+        best_.try_emplace(answer.candidate, Best{answer.score, paragraph});
+    if (!fresh) {
+      Best& best = it->second;
+      if (answer.score < best.score ||
+          (answer.score == best.score && paragraph >= best.paragraph)) {
+        return;
+      }
+      best = Best{answer.score, paragraph};
+    }
+    auto pos = std::find_if(top_.begin(), top_.end(), [&](const Ranked& r) {
+      return r.answer.candidate == answer.candidate;
+    });
+    if (pos == top_.end()) {
+      if (top_.size() == limit_) {
+        if (!ahead(answer, top_.back().answer)) return;
+        top_.pop_back();
+      }
+      pos = top_.emplace(top_.end());
+    }
+    *pos = Ranked{std::move(answer), paragraph};
+    // Only this candidate's key rose: move it up to its place.
+    for (; pos != top_.begin() && ahead(pos->answer, std::prev(pos)->answer);
+         --pos) {
+      std::iter_swap(pos, std::prev(pos));
+    }
+  }
+
+  /// The top, best first.
+  [[nodiscard]] std::vector<Ranked> take() { return std::move(top_); }
+
+ private:
+  struct Best {
+    double score;
+    std::size_t paragraph;
+  };
+
+  static bool ahead(const qa::Answer& a, const qa::Answer& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.candidate < b.candidate;
+  }
+
+  std::unordered_map<std::string, Best> best_;
+  std::vector<Ranked> top_;  // sorted by ahead()
+  std::size_t limit_;
+};
+
 }  // namespace
 
 ParallelRetrievalResult parallel_retrieve_and_score(
@@ -24,14 +105,25 @@ ParallelRetrievalResult parallel_retrieve_and_score(
                   "(paper Sec. 6.3)");
   ParallelRetrievalResult result;
   const std::size_t subs = engine.subcollection_count();
-  std::vector<std::vector<qa::ScoredParagraph>> buffers(subs);
+  std::vector<Padded<std::vector<qa::ScoredParagraph>>> buffers(subs);
+  // PR units go out largest first: a sub-collection's PR+PS cost grows
+  // with its size, and the largest one started last bounds the stage.
+  // The sort is stable, so an even split keeps index order.
+  std::vector<std::size_t> units(subs);
+  std::iota(units.begin(), units.end(), std::size_t{0});
+  std::stable_sort(units.begin(), units.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return engine.subcollection(a).size() >
+                            engine.subcollection(b).size();
+                   });
 
   PartitionedExecutor executor(pool);
   const double t0 = now_seconds();
   result.report = executor.run(
-      subs, options, [&](std::size_t sub, std::size_t /*worker*/) {
+      subs, options, [&](std::size_t unit, std::size_t /*worker*/) {
+        const std::size_t sub = units[unit];
         auto retrieved = engine.retrieve(sub, question);
-        auto& out = buffers[sub];
+        auto& out = buffers[sub].value;
         out.reserve(retrieved.size());
         for (auto& p : retrieved) {
           out.push_back(engine.score(question, std::move(p)));
@@ -41,8 +133,8 @@ ParallelRetrievalResult parallel_retrieve_and_score(
   // set is independent of worker interleaving.
   for (auto& buffer : buffers) {
     result.paragraphs.insert(result.paragraphs.end(),
-                             std::make_move_iterator(buffer.begin()),
-                             std::make_move_iterator(buffer.end()));
+                             std::make_move_iterator(buffer.value.begin()),
+                             std::make_move_iterator(buffer.value.end()));
   }
   result.wall = now_seconds() - t0;
   return result;
@@ -53,26 +145,31 @@ ParallelAnswerResult parallel_answer_processing(
     std::span<const qa::ScoredParagraph> paragraphs, ThreadPool& pool,
     const ExecutorOptions& options) {
   ParallelAnswerResult result;
-  std::vector<std::vector<qa::Answer>> buffers(options.workers);
+  const std::size_t limit = engine.config().answers.answers_requested;
+  std::vector<Padded<TopAnswers>> tops(options.workers, {TopAnswers(limit)});
 
   PartitionedExecutor executor(pool);
   const double t0 = now_seconds();
   result.report = executor.run(
       paragraphs.size(), options, [&](std::size_t item, std::size_t worker) {
-        auto answers = engine.answer_paragraph(question, paragraphs[item]);
-        auto& out = buffers[worker];
-        out.insert(out.end(), std::make_move_iterator(answers.begin()),
-                   std::make_move_iterator(answers.end()));
+        auto& top = tops[worker].value;
+        for (auto& answer :
+             engine.answer_paragraph(question, paragraphs[item])) {
+          top.offer(std::move(answer), item);
+        }
       });
-  // Answer merging + answer sorting (paper Fig. 3): global deterministic
-  // order regardless of which worker produced what.
-  std::vector<qa::Answer> merged;
-  for (auto& buffer : buffers) {
-    merged.insert(merged.end(), std::make_move_iterator(buffer.begin()),
-                  std::make_move_iterator(buffer.end()));
+  // Answer merging + answer sorting (paper Fig. 3): the workers' tops, at
+  // most workers x limit answers, merge by the same rule into
+  // sort_answers' list, whichever worker produced what.
+  TopAnswers merged(limit);
+  for (auto& top : tops) {
+    for (auto& ranked : top.value.take()) {
+      merged.offer(std::move(ranked.answer), ranked.paragraph);
+    }
   }
-  result.answers = qa::sort_answers(
-      std::move(merged), engine.config().answers.answers_requested);
+  for (auto& ranked : merged.take()) {
+    result.answers.push_back(std::move(ranked.answer));
+  }
   result.wall = now_seconds() - t0;
   return result;
 }

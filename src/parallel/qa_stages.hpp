@@ -17,11 +17,12 @@ struct ParallelRetrievalResult {
 };
 
 /// Runs paragraph retrieval + paragraph scoring across host threads, one
-/// item per sub-collection — the paper's "Paragraph Retrieval (k) →
-/// Paragraph Scoring (k)" pipeline legs (Fig. 3), ending at the paragraph
-/// merging module (here: concatenation + deterministic ordering is left to
-/// PO). ISEND is rejected: document collections are not rank-sorted, so the
-/// paper deems ISEND inapplicable to PR (Sec. 6.3).
+/// item per sub-collection, largest first — the paper's "Paragraph
+/// Retrieval (k) → Paragraph Scoring (k)" pipeline legs (Fig. 3), ending
+/// at the paragraph merging module (here: concatenation in sub-collection
+/// order; deterministic ordering is left to PO). ISEND is rejected:
+/// document collections are not rank-sorted, so the paper deems ISEND
+/// inapplicable to PR (Sec. 6.3).
 [[nodiscard]] ParallelRetrievalResult parallel_retrieve_and_score(
     const qa::Engine& engine, const qa::ProcessedQuestion& question,
     ThreadPool& pool, const ExecutorOptions& options);
@@ -34,11 +35,12 @@ struct ParallelAnswerResult {
 };
 
 /// Runs answer processing across host threads, one item per accepted
-/// paragraph, using any of SEND/ISEND/RECV; per-worker answer buffers are
-/// merged and globally sorted afterwards (the answer merging + answer
-/// sorting modules of Fig. 3). The final answer list is identical to the
-/// sequential pipeline's regardless of strategy or thread interleaving —
-/// tested as an invariant.
+/// paragraph, using any of SEND/ISEND/RECV; each worker keeps its best
+/// `answers_requested` candidates as it goes, and the workers' lists are
+/// merged afterwards (the answer merging + answer sorting modules of
+/// Fig. 3). The final answer list is identical to the sequential
+/// pipeline's in every field, ties included, regardless of strategy or
+/// thread interleaving — tested as an invariant.
 [[nodiscard]] ParallelAnswerResult parallel_answer_processing(
     const qa::Engine& engine, const qa::ProcessedQuestion& question,
     std::span<const qa::ScoredParagraph> paragraphs, ThreadPool& pool,

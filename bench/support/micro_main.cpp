@@ -21,8 +21,10 @@ namespace {
 /// deterministic simulated metrics.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
+  // Tabular counters, no ANSI colour: the console output is committed as
+  // results/bench_micro_*.txt.
   explicit CapturingReporter(qadist::bench::BenchReport* report)
-      : report_(report) {}
+      : benchmark::ConsoleReporter(OO_Tabular), report_(report) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);

@@ -1,9 +1,11 @@
 // Failure recovery in the partitioning algorithms (paper Fig. 5c / 6b):
 // injects worker deaths into the sender- and receiver-controlled
 // distributors and shows that every paragraph is still processed exactly
-// once and the final answers are unchanged.
+// once and the final answers are unchanged. The output is the same on
+// every run: what depends on thread timing is not printed.
 
 #include <cstdio>
+#include <numeric>
 
 #include "common/table.hpp"
 #include "corpus/generator.hpp"
@@ -42,7 +44,7 @@ int main() {
 
   parallel::ThreadPool pool(4);
   TextTable table({"Strategy", "Injected failures", "Dispatch rounds",
-                   "Survivors", "Answers match?"});
+                   "Survivors", "Items processed", "Answers equal?"});
   struct Scenario {
     Strategy strategy;
     std::vector<FailureSpec> failures;
@@ -64,19 +66,32 @@ int main() {
     const auto result = parallel::parallel_answer_processing(
         engine, pq, accepted, pool, options);
 
-    bool match = result.answers.size() == reference.size();
-    for (std::size_t i = 0; match && i < reference.size(); ++i) {
-      match = result.answers[i].candidate == reference[i].candidate;
+    bool equal = result.answers.size() == reference.size();
+    for (std::size_t i = 0; equal && i < reference.size(); ++i) {
+      const auto& a = result.answers[i];
+      const auto& b = reference[i];
+      equal = a.candidate == b.candidate && a.window == b.window &&
+              a.score == b.score && a.ref == b.ref && a.type == b.type;
     }
-    table.add_row({std::string(to_string(s.strategy)), s.label,
-                   std::to_string(result.report.rounds),
-                   std::to_string(result.report.surviving_workers) + "/4",
-                   match ? "yes" : "NO"});
+    const auto& items = result.report.items_per_worker;
+    const std::size_t processed =
+        std::accumulate(items.begin(), items.end(), std::size_t{0});
+    // Under RECV a worker meets its failure point only if it claims enough
+    // chunks before the others finish, so rounds and survivors vary.
+    const bool timed = s.strategy == Strategy::kRecv;
+    table.add_row(
+        {std::string(to_string(s.strategy)), s.label,
+         timed ? "-" : std::to_string(result.report.rounds),
+         timed ? "-"
+               : std::to_string(result.report.surviving_workers) + "/4",
+         std::to_string(processed) + "/" + std::to_string(accepted.size()),
+         equal ? "yes" : "NO"});
   }
   std::printf("%s", table.render().c_str());
   std::printf(
       "Sender-controlled recovery re-dispatches the unprocessed partitions "
       "(extra rounds); receiver-controlled recovery returns the dead "
-      "worker's chunk remainder to the shared set.\n");
+      "worker's chunk remainder to the shared set. RECV's rounds and "
+      "survivors depend on thread timing and are not shown.\n");
   return 0;
 }

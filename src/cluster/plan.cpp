@@ -76,9 +76,11 @@ QuestionPlan make_plan(const qa::Engine& engine, const CostModel& cost,
   plan.accepted_paragraphs = accepted.size();
 
   // --- AP, per accepted paragraph (the AP iterative unit), in rank order.
-  std::vector<qa::Answer> all_answers;
+  // Every candidate's text is built: its bytes are what the unit ships.
+  qa::TopAnswers<qa::Answer> top(engine.config().answers.answers_requested);
   plan.ap_units.reserve(accepted.size());
-  for (const auto& paragraph : accepted) {
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    const auto& paragraph = accepted[i];
     qa::AnswerWork work;
     auto answers = engine.answer_paragraph(plan.processed, paragraph, &work);
 
@@ -90,13 +92,12 @@ QuestionPlan make_plan(const qa::Engine& engine, const CostModel& cost,
     }
     plan.ap_units.push_back(unit);
 
-    all_answers.insert(all_answers.end(),
-                       std::make_move_iterator(answers.begin()),
-                       std::make_move_iterator(answers.end()));
+    for (auto& a : answers) top.offer(std::move(a), i);
   }
 
-  plan.answers = qa::sort_answers(std::move(all_answers),
-                                  engine.config().answers.answers_requested);
+  for (auto& ranked : top.take()) {
+    plan.answers.push_back(std::move(ranked.answer));
+  }
   plan.answer_sort = cost.answer_sort(plan.answers.size());
   for (const auto& a : plan.answers) {
     plan.answer_bytes += a.candidate.size() + a.window.size();

@@ -1,17 +1,63 @@
 #include "ir/analysis.hpp"
 
+#include <atomic>
+
 #include "common/check.hpp"
 
 namespace qadist::ir {
+
+namespace {
+
+/// Norms map onto the 64 filter bits by their low bits: ids are dense.
+std::uint64_t filter_bit(NormId norm) {
+  return std::uint64_t{1} << (norm & 63);
+}
+
+}  // namespace
 
 NormId Lexicon::find_norm(std::string_view term) const {
   const auto it = norm_ids_.find(term);
   return it == norm_ids_.end() ? kNoNorm : it->second;
 }
 
+KeywordNorms Lexicon::resolve(std::span<const std::string> keywords) const {
+  KeywordNorms out;
+  out.lexicon = serial_;
+  out.norms.reserve(keywords.size());
+  for (const auto& keyword : keywords) {
+    const NormId norm = find_norm(keyword);
+    out.norms.push_back(norm);
+    if (norm != kNoNorm) out.filter |= filter_bit(norm);
+  }
+  return out;
+}
+
+void Lexicon::keyword_hits(std::span<const WordToken> tokens,
+                           const KeywordNorms& keywords,
+                           std::vector<KeywordHit>& hits) const {
+  QADIST_CHECK(keywords.lexicon == serial_ && serial_ != 0,
+               << "keywords not resolved against this analysis");
+  hits.clear();
+  const auto keyword_count = static_cast<std::uint32_t>(keywords.norms.size());
+  for (std::uint32_t t = 0; t < tokens.size(); ++t) {
+    // A stopword's norm is never a keyword's; it fails the filter unless
+    // a keyword shares its filter bit, and then fails the comparison.
+    const NormId norm = word_norms_[tokens[t].word()];
+    if ((keywords.filter & filter_bit(norm)) == 0) continue;
+    for (std::uint32_t k = 0; k < keyword_count; ++k) {
+      if (keywords.norms[k] == norm) {
+        hits.push_back(KeywordHit{t, k});
+        break;
+      }
+    }
+  }
+}
+
 CollectionAnalysis::CollectionAnalysis(const corpus::SubCollection& docs,
                                        const Analyzer& analyzer)
     : first_doc_(docs.first()) {
+  static std::atomic<std::uint64_t> next_serial{1};
+  lexicon_.serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
   // The word -> id map is only needed while interning.
   StringMap<WordId> word_ids;
   Lexicon& lex = lexicon_;

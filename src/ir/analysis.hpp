@@ -22,6 +22,23 @@ inline constexpr NormId kStopword = std::numeric_limits<NormId>::max();
 /// What Lexicon::find_norm returns for a term no analyzed word has.
 inline constexpr NormId kNoNorm = kStopword - 1;
 
+/// One keyword occurrence in a paragraph: the token's position and the
+/// index of the first question keyword whose norm the token carries.
+struct KeywordHit {
+  std::uint32_t position = 0;
+  std::uint32_t keyword = 0;
+};
+
+/// A question's keywords looked up once in one Lexicon: each keyword's norm
+/// id (kNoNorm when no analyzed word carries it), and a one-word filter of
+/// the norms found. O(keywords); Lexicon::keyword_hits scans paragraphs
+/// against it.
+struct KeywordNorms {
+  std::uint64_t lexicon = 0;  ///< serial of the resolving Lexicon; 0: none
+  std::vector<NormId> norms;  ///< per keyword, in question order
+  std::uint64_t filter = 0;   ///< bit (norm % 64) of every found norm
+};
+
 /// One token of an analyzed paragraph: its interned word and whether the
 /// source spelled it with a leading capital.
 class WordToken {
@@ -60,12 +77,26 @@ class Lexicon {
   /// word normalizes to it. Allocation-free.
   [[nodiscard]] NormId find_norm(std::string_view term) const;
 
+  /// Every keyword's norm, looked up once (keywords are analyzer-normalized
+  /// terms, as QP extracts them).
+  [[nodiscard]] KeywordNorms resolve(
+      std::span<const std::string> keywords) const;
+  /// Replaces `hits` with the keyword hits of `tokens` in position order:
+  /// every token whose norm is a keyword's, tagged with the first such
+  /// keyword (stopwords never hit). One filter test per token; only the
+  /// tokens that pass it are compared with the keywords. Fails a
+  /// QADIST_CHECK unless `keywords` were resolved by this lexicon.
+  void keyword_hits(std::span<const WordToken> tokens,
+                    const KeywordNorms& keywords,
+                    std::vector<KeywordHit>& hits) const;
+
   [[nodiscard]] std::size_t word_count() const { return word_norms_.size(); }
   [[nodiscard]] std::size_t norm_count() const { return norm_texts_.size(); }
 
  private:
   friend class CollectionAnalysis;
 
+  std::uint64_t serial_ = 0;               // unique per analysis; 0: empty
   std::string word_chars_;                 // every word, concatenated
   std::vector<std::uint32_t> word_begin_{0};  // word id -> offset; size W+1
   std::vector<NormId> word_norms_;         // word id -> norm

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/check.hpp"
 
@@ -21,78 +20,6 @@ double now_seconds() {
 template <typename T>
 struct alignas(64) Padded {
   T value;
-};
-
-/// One worker's answers, deduplicated by candidate and cut to the best
-/// `limit` candidates as they arrive.
-///
-/// Each candidate keeps its best answer under sort_answers' first-seen
-/// rule: a higher score wins, and an equal score from an earlier accepted
-/// paragraph wins (the sequential pipeline meets that paragraph first).
-/// `top_` holds the best `limit` candidates by (score desc, candidate asc),
-/// exactly: a candidate's key only rises, so one that drops out re-enters
-/// only through a later, better answer of its own.
-///
-/// Offering every worker's top to one more TopAnswers yields the global
-/// top `limit`, with the answers the sequential pipeline keeps: a candidate
-/// missing from its best worker's top has `limit` distinct candidates ahead
-/// of it there, and therefore also globally.
-class TopAnswers {
- public:
-  struct Ranked {
-    qa::Answer answer;
-    std::size_t paragraph = 0;  ///< index among the accepted paragraphs
-  };
-
-  explicit TopAnswers(std::size_t limit) : limit_(limit) {}
-
-  void offer(qa::Answer&& answer, std::size_t paragraph) {
-    if (limit_ == 0) return;
-    const auto [it, fresh] =
-        best_.try_emplace(answer.candidate, Best{answer.score, paragraph});
-    if (!fresh) {
-      Best& best = it->second;
-      if (answer.score < best.score ||
-          (answer.score == best.score && paragraph >= best.paragraph)) {
-        return;
-      }
-      best = Best{answer.score, paragraph};
-    }
-    auto pos = std::find_if(top_.begin(), top_.end(), [&](const Ranked& r) {
-      return r.answer.candidate == answer.candidate;
-    });
-    if (pos == top_.end()) {
-      if (top_.size() == limit_) {
-        if (!ahead(answer, top_.back().answer)) return;
-        top_.pop_back();
-      }
-      pos = top_.emplace(top_.end());
-    }
-    *pos = Ranked{std::move(answer), paragraph};
-    // Only this candidate's key rose: move it up to its place.
-    for (; pos != top_.begin() && ahead(pos->answer, std::prev(pos)->answer);
-         --pos) {
-      std::iter_swap(pos, std::prev(pos));
-    }
-  }
-
-  /// The top, best first.
-  [[nodiscard]] std::vector<Ranked> take() { return std::move(top_); }
-
- private:
-  struct Best {
-    double score;
-    std::size_t paragraph;
-  };
-
-  static bool ahead(const qa::Answer& a, const qa::Answer& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.candidate < b.candidate;
-  }
-
-  std::unordered_map<std::string, Best> best_;
-  std::vector<Ranked> top_;  // sorted by ahead()
-  std::size_t limit_;
 };
 
 }  // namespace
@@ -146,29 +73,37 @@ ParallelAnswerResult parallel_answer_processing(
     const ExecutorOptions& options) {
   ParallelAnswerResult result;
   const std::size_t limit = engine.config().answers.answers_requested;
-  std::vector<Padded<TopAnswers>> tops(options.workers, {TopAnswers(limit)});
+  using Top = qa::TopAnswers<qa::CandidateAnswer>;
+  // One worker's running top, and the list it reuses for a paragraph's
+  // candidates.
+  struct Worker {
+    Top top;
+    std::vector<qa::CandidateAnswer> batch;
+  };
+  std::vector<Padded<Worker>> workers(options.workers,
+                                      {Worker{Top(limit), {}}});
 
   PartitionedExecutor executor(pool);
   const double t0 = now_seconds();
   result.report = executor.run(
       paragraphs.size(), options, [&](std::size_t item, std::size_t worker) {
-        auto& top = tops[worker].value;
-        for (auto& answer :
-             engine.answer_paragraph(question, paragraphs[item])) {
-          top.offer(std::move(answer), item);
-        }
+        auto& [top, batch] = workers[worker].value;
+        batch.clear();
+        engine.answer_candidates(question, paragraphs[item], batch);
+        for (auto& candidate : batch) top.offer(std::move(candidate), item);
       });
   // Answer merging + answer sorting (paper Fig. 3): the workers' tops, at
-  // most workers x limit answers, merge by the same rule into
-  // sort_answers' list, whichever worker produced what.
-  TopAnswers merged(limit);
-  for (auto& top : tops) {
-    for (auto& ranked : top.value.take()) {
+  // most workers x limit candidates, merge by the same rule into the
+  // sequential pipeline's list, whichever worker produced what; only the
+  // answers kept get their window text.
+  Top merged(limit);
+  for (auto& worker : workers) {
+    for (auto& ranked : worker.value.top.take()) {
       merged.offer(std::move(ranked.answer), ranked.paragraph);
     }
   }
   for (auto& ranked : merged.take()) {
-    result.answers.push_back(std::move(ranked.answer));
+    result.answers.push_back(engine.build_answer(std::move(ranked.answer)));
   }
   result.wall = now_seconds() - t0;
   return result;

@@ -1,9 +1,7 @@
 #include "qa/answer_processing.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <unordered_map>
+#include <cstdint>
 
 #include "qa/text_match.hpp"
 
@@ -11,66 +9,27 @@ namespace qadist::qa {
 
 namespace {
 
-/// Trims `window` to `budget` bytes, keeping the candidate centered — the
-/// paper's 50/250-byte answer presentation (Table 1). Cuts land on token
-/// boundaries (spaces) where possible.
-std::string trim_window(std::string window, const std::string& candidate,
-                        std::size_t budget) {
-  if (window.size() <= budget) return window;
-  const std::size_t cand_pos = window.find(candidate);
-  const std::size_t cand_mid =
-      cand_pos == std::string::npos ? window.size() / 2
-                                    : cand_pos + candidate.size() / 2;
-  std::size_t begin = cand_mid > budget / 2 ? cand_mid - budget / 2 : 0;
-  if (begin + budget > window.size()) begin = window.size() - budget;
-  // Snap to token boundaries (never cutting into the candidate itself).
-  std::size_t end = begin + budget;
-  if (begin > 0) {
-    const std::size_t space = window.find(' ', begin);
-    if (space != std::string::npos &&
-        (cand_pos == std::string::npos || space < cand_pos)) {
-      begin = space + 1;
-    }
-  }
-  if (end < window.size()) {
-    const std::size_t space = window.rfind(' ', end);
-    if (space != std::string::npos && space > begin &&
-        (cand_pos == std::string::npos ||
-         space >= cand_pos + candidate.size())) {
-      end = space;
-    }
-  }
-  return window.substr(begin, end - begin);
-}
-
 bool is_linking_word(std::string_view w) {
   return w == "is" || w == "was" || w == "in" || w == "by" || w == "of" ||
          w == "for" || w == "to" || w == "cost" || w == "treat";
 }
 
-/// True when every non-stopword candidate token maps to a question
-/// keyword — i.e. the candidate is (part of) the question's subject.
-bool candidate_is_subject(const AnalyzedParagraph& text,
-                          const std::vector<int>& keyword_map,
-                          const EntityMention& mention) {
-  for (std::uint32_t i = mention.first_token;
-       i < mention.first_token + mention.token_count; ++i) {
-    if (keyword_map[i] < 0 &&
-        text.lexicon->norm(text.tokens[i].word()) != ir::kStopword) {
-      return false;
-    }
-  }
-  return true;
+/// Distance in tokens from token `t` to the candidate span [begin, end].
+std::size_t distance(std::size_t t, std::size_t begin, std::size_t end) {
+  return t < begin ? begin - t : (t > end ? t - end : 0);
 }
 
 }  // namespace
 
-std::vector<Answer> AnswerProcessor::process_paragraph(
-    const ProcessedQuestion& question, const ScoredParagraph& paragraph,
-    const CorpusAnalysis& analysis, AnswerWork* work) const {
+void AnswerProcessor::score_candidates(const ProcessedQuestion& question,
+                                       const ScoredParagraph& paragraph,
+                                       const CorpusAnalysis& analysis,
+                                       std::vector<CandidateAnswer>& out,
+                                       AnswerWork* work) const {
   const AnalyzedParagraph text = analysis.of(paragraph.paragraph);
   const auto& tokens = text.tokens;
-  const auto keyword_map = map_keywords(text, question.keywords);
+  std::vector<ir::KeywordHit> hits;
+  keyword_hits(text, question, hits);
 
   if (work != nullptr) {
     ++work->paragraphs_processed;
@@ -78,7 +37,13 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
   }
 
   const std::size_t k = question.keywords.size();
-  std::vector<Answer> answers;
+  const auto hit_at_or_after = [&](std::size_t position) {
+    return std::partition_point(hits.begin(), hits.end(),
+                                [&](const ir::KeywordHit& hit) {
+                                  return hit.position < position;
+                                });
+  };
+  std::vector<const ir::KeywordHit*> nearest(k);
 
   for (const EntityMention& mention : text.mentions) {
     if (work != nullptr) ++work->candidates_considered;
@@ -89,41 +54,46 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
         mention.type != question.answer_type) {
       continue;
     }
-    if (candidate_is_subject(text, keyword_map, mention)) continue;
+    // Subject check: skip a candidate whose every non-stopword token is a
+    // keyword hit — the question's own subject. Hits are never stopwords.
+    const std::size_t cand_begin = mention.first_token;
+    const std::size_t cand_stop = cand_begin + mention.token_count;
+    std::size_t content_tokens = 0;
+    for (std::size_t i = cand_begin; i < cand_stop; ++i) {
+      if (text.lexicon->norm(tokens[i].word()) != ir::kStopword) {
+        ++content_tokens;
+      }
+    }
+    if (static_cast<std::size_t>(hit_at_or_after(cand_stop) -
+                                 hit_at_or_after(cand_begin)) ==
+        content_tokens) {
+      continue;
+    }
 
     // --- Build the answer window: candidate plus the nearest occurrence of
-    // each present keyword, clipped to max_window_tokens around the
-    // candidate.
-    const std::size_t cand_begin = mention.first_token;
-    const std::size_t cand_end = mention.first_token + mention.token_count - 1;
+    // each present keyword (the earlier one on a tie), clipped to
+    // max_window_tokens around the candidate.
+    const std::size_t cand_end = cand_stop - 1;
     std::size_t win_begin = cand_begin;
     std::size_t win_end = cand_end;
     double distance_sum = 0.0;
     std::size_t distance_terms = 0;
 
-    std::vector<std::ptrdiff_t> nearest(k, -1);
-    for (std::size_t t = 0; t < keyword_map.size(); ++t) {
-      const int m = keyword_map[t];
-      if (m < 0) continue;
-      const auto mk = static_cast<std::size_t>(m);
-      const auto dist_now =
-          t < cand_begin ? cand_begin - t : (t > cand_end ? t - cand_end : 0);
-      if (nearest[mk] < 0) {
-        nearest[mk] = static_cast<std::ptrdiff_t>(t);
-      } else {
-        const auto prev = static_cast<std::size_t>(nearest[mk]);
-        const auto dist_prev = prev < cand_begin ? cand_begin - prev
-                               : (prev > cand_end ? prev - cand_end : 0);
-        if (dist_now < dist_prev) nearest[mk] = static_cast<std::ptrdiff_t>(t);
+    std::fill(nearest.begin(), nearest.end(), nullptr);
+    for (const auto& hit : hits) {
+      const ir::KeywordHit*& best = nearest[hit.keyword];
+      if (best == nullptr ||
+          distance(hit.position, cand_begin, cand_end) <
+              distance(best->position, cand_begin, cand_end)) {
+        best = &hit;
       }
     }
 
     std::size_t keywords_in_window = 0;
-    for (std::size_t m = 0; m < k; ++m) {
-      if (nearest[m] < 0) continue;
-      const auto t = static_cast<std::size_t>(nearest[m]);
-      const std::size_t dist =
-          t < cand_begin ? cand_begin - t : (t > cand_end ? t - cand_end : 0);
+    for (const ir::KeywordHit* hit : nearest) {
+      if (hit == nullptr) continue;
+      const std::size_t t = hit->position;
+      const std::size_t dist = distance(t, cand_begin, cand_end);
       if (dist <= config_.max_window_tokens) {
         win_begin = std::min(win_begin, t);
         win_end = std::max(win_end, t);
@@ -149,14 +119,13 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
     double h3 = 0.0;
     {
       // Same-order: longest question-order run among window keyword hits.
-      int prev = -1;
+      std::int64_t prev = -1;
       std::size_t run = 0;
       std::size_t best = 0;
-      for (std::size_t t = win_begin; t <= win_end; ++t) {
-        const int m = keyword_map[t];
-        if (m < 0) continue;
-        run = (m == prev + 1) ? run + 1 : 1;
-        prev = m;
+      for (auto hit = hit_at_or_after(win_begin);
+           hit != hits.end() && hit->position <= win_end; ++hit) {
+        run = hit->keyword == prev + 1 ? run + 1 : 1;
+        prev = hit->keyword;
         best = std::max(best, run);
       }
       h3 = k == 0 ? 0.0 : static_cast<double>(best) / static_cast<double>(k);
@@ -176,17 +145,42 @@ std::vector<Answer> AnswerProcessor::process_paragraph(
 
     const double h7 = std::min(1.0, paragraph.score);
 
-    Answer answer;
-    answer.score = 0.25 * h1 + 0.20 * h2 + 0.10 * h3 + 0.10 * h4 + 0.10 * h5 +
-                   0.15 * h6 + 0.10 * h7;
-    answer.candidate =
+    CandidateAnswer candidate;
+    candidate.score = 0.25 * h1 + 0.20 * h2 + 0.10 * h3 + 0.10 * h4 +
+                      0.10 * h5 + 0.15 * h6 + 0.10 * h7;
+    candidate.candidate =
         surface_span(text, mention.first_token, mention.token_count);
-    answer.window = trim_window(surface_span(text, win_begin, window_len),
-                                answer.candidate,
-                                config_.answer_window_bytes);
-    answer.ref = paragraph.paragraph.ref;
-    answer.type = mention.type;
-    answers.push_back(std::move(answer));
+    candidate.ref = paragraph.paragraph.ref;
+    candidate.type = mention.type;
+    candidate.window_first = static_cast<std::uint32_t>(win_begin);
+    candidate.window_tokens = static_cast<std::uint32_t>(window_len);
+    out.push_back(std::move(candidate));
+  }
+}
+
+Answer AnswerProcessor::answer(CandidateAnswer candidate,
+                               const CorpusAnalysis& analysis) const {
+  Answer answer;
+  answer.window = trim_window(
+      surface_span(analysis.of(candidate.ref), candidate.window_first,
+                   candidate.window_tokens),
+      candidate.candidate, config_.answer_window_bytes);
+  answer.candidate = std::move(candidate.candidate);
+  answer.score = candidate.score;
+  answer.ref = candidate.ref;
+  answer.type = candidate.type;
+  return answer;
+}
+
+std::vector<Answer> AnswerProcessor::process_paragraph(
+    const ProcessedQuestion& question, const ScoredParagraph& paragraph,
+    const CorpusAnalysis& analysis, AnswerWork* work) const {
+  std::vector<CandidateAnswer> candidates;
+  score_candidates(question, paragraph, analysis, candidates, work);
+  std::vector<Answer> answers;
+  answers.reserve(candidates.size());
+  for (auto& candidate : candidates) {
+    answers.push_back(answer(std::move(candidate), analysis));
   }
   return answers;
 }
@@ -195,37 +189,18 @@ std::vector<Answer> AnswerProcessor::process(
     const ProcessedQuestion& question,
     std::span<const ScoredParagraph> paragraphs,
     const CorpusAnalysis& analysis, AnswerWork* work) const {
-  std::vector<Answer> all;
-  for (const auto& p : paragraphs) {
-    auto batch = process_paragraph(question, p, analysis, work);
-    all.insert(all.end(), std::make_move_iterator(batch.begin()),
-               std::make_move_iterator(batch.end()));
+  TopAnswers<CandidateAnswer> top(config_.answers_requested);
+  std::vector<CandidateAnswer> batch;
+  for (std::size_t i = 0; i < paragraphs.size(); ++i) {
+    batch.clear();
+    score_candidates(question, paragraphs[i], analysis, batch, work);
+    for (auto& candidate : batch) top.offer(std::move(candidate), i);
   }
-  return sort_answers(std::move(all), config_.answers_requested);
-}
-
-std::vector<Answer> sort_answers(std::vector<Answer> answers,
-                                 std::size_t limit) {
-  // Deduplicate by candidate text, keeping the best-scoring window.
-  std::unordered_map<std::string, std::size_t> best;
-  std::vector<Answer> unique;
-  unique.reserve(answers.size());
-  for (auto& a : answers) {
-    const auto it = best.find(a.candidate);
-    if (it == best.end()) {
-      best.emplace(a.candidate, unique.size());
-      unique.push_back(std::move(a));
-    } else if (a.score > unique[it->second].score) {
-      unique[it->second] = std::move(a);
-    }
+  std::vector<Answer> answers;
+  for (auto& ranked : top.take()) {
+    answers.push_back(answer(std::move(ranked.answer), analysis));
   }
-  std::sort(unique.begin(), unique.end(), [](const Answer& a, const Answer& b) {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.candidate != b.candidate) return a.candidate < b.candidate;
-    return a.ref < b.ref;
-  });
-  if (unique.size() > limit) unique.resize(limit);
-  return unique;
+  return answers;
 }
 
 }  // namespace qadist::qa

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -12,6 +14,9 @@ namespace qadist::qa {
 /// (AP is ~100% CPU on the paper's platform, Table 3).
 struct AnswerWork {
   std::size_t paragraphs_processed = 0;
+  /// FALCON cost proxy: the tokens of the processed paragraphs, which
+  /// FALCON's AP walks. The host code scans them with one filter test each
+  /// and scores over the keyword hits only.
   std::size_t tokens_scanned = 0;
   std::size_t candidates_considered = 0;
   std::size_t windows_scored = 0;
@@ -37,6 +42,12 @@ struct AnswerWork {
 ///
 /// Candidates whose tokens are all question keywords are skipped — the
 /// question's own subject is never a valid answer.
+///
+/// Keyword hits come from the paragraph's analysis and the question's
+/// resolved keyword norms (keyword_hits); the windows and heuristics are
+/// computed over the hits. One scoring body (score_candidates) yields
+/// every candidate without its window text; an answer's window text is
+/// built only when it is returned.
 class AnswerProcessor {
  public:
   struct Config {
@@ -51,14 +62,30 @@ class AnswerProcessor {
   AnswerProcessor() = default;
   explicit AnswerProcessor(Config config) : config_(config) {}
 
-  /// Extracts and scores candidate answers from one paragraph, reading its
-  /// entry in `analysis` (checked against its ref and text). Thread-safe.
+  /// Extracts and scores the candidate answers of one paragraph, reading
+  /// its entry in `analysis` (checked against its ref and text), and
+  /// appends them to `out` in mention order, without window text. The
+  /// question's keywords must have been resolved against `analysis`.
+  /// Thread-safe.
+  void score_candidates(const ProcessedQuestion& question,
+                        const ScoredParagraph& paragraph,
+                        const CorpusAnalysis& analysis,
+                        std::vector<CandidateAnswer>& out,
+                        AnswerWork* work = nullptr) const;
+
+  /// The answer `candidate` stands for: its window text built from its
+  /// paragraph's analysis and trimmed to `answer_window_bytes`.
+  [[nodiscard]] Answer answer(CandidateAnswer candidate,
+                              const CorpusAnalysis& analysis) const;
+
+  /// Every candidate answer of one paragraph, with its text, unsorted.
   [[nodiscard]] std::vector<Answer> process_paragraph(
       const ProcessedQuestion& question, const ScoredParagraph& paragraph,
       const CorpusAnalysis& analysis, AnswerWork* work = nullptr) const;
 
   /// Processes a batch of paragraphs and returns the best
-  /// `answers_requested` answers (sorted, deduplicated by candidate).
+  /// `answers_requested` answers (TopAnswers over the batch in order); only
+  /// those get window text.
   [[nodiscard]] std::vector<Answer> process(
       const ProcessedQuestion& question,
       std::span<const ScoredParagraph> paragraphs,
@@ -70,12 +97,70 @@ class AnswerProcessor {
   Config config_;
 };
 
-/// Merges answer lists, deduplicates by candidate string (keeping each
-/// candidate's best score), sorts descending and truncates to `limit`.
-/// Deterministic: ties break on candidate text, then paragraph address.
-/// This is the Answer Sorting module that follows distributed AP
-/// (paper Fig. 3).
-[[nodiscard]] std::vector<Answer> sort_answers(std::vector<Answer> answers,
-                                               std::size_t limit);
+/// The answer-merge rule: the answer merging and answer sorting modules
+/// that follow distributed AP (paper Fig. 3). Keeps the best `limit`
+/// candidates, each with its best answer, best first. Answers (Answer or
+/// CandidateAnswer) are offered with the index of their paragraph among
+/// the accepted paragraphs.
+///
+/// The result is what merging every offered answer would give after
+/// deduplicating by candidate (a higher score wins; at an equal score the
+/// earlier paragraph wins, and within one paragraph the first offered),
+/// sorting by score descending then candidate ascending, and cutting at
+/// `limit`. Only the current top is held: a candidate outside it has
+/// `limit` candidates ahead of it, whose keys only rise, so a later answer
+/// of that candidate enters only by beating its earlier ones.
+///
+/// Offering several TopAnswers' lists to one more yields the top of all
+/// their answers, in whatever order the lists are offered: a candidate
+/// missing from the list holding its best answer has `limit` distinct
+/// candidates ahead of it there, and therefore also overall.
+template <typename A>
+class TopAnswers {
+ public:
+  struct Ranked {
+    A answer;
+    std::size_t paragraph = 0;  ///< index among the accepted paragraphs
+  };
+
+  explicit TopAnswers(std::size_t limit) : limit_(limit) {}
+
+  void offer(A&& answer, std::size_t paragraph) {
+    if (limit_ == 0) return;
+    auto pos = std::find_if(top_.begin(), top_.end(), [&](const Ranked& r) {
+      return r.answer.candidate == answer.candidate;
+    });
+    if (pos != top_.end()) {
+      if (answer.score < pos->answer.score ||
+          (answer.score == pos->answer.score && paragraph >= pos->paragraph)) {
+        return;
+      }
+    } else {
+      if (top_.size() == limit_) {
+        if (!ahead(answer, top_.back().answer)) return;
+        top_.pop_back();
+      }
+      pos = top_.emplace(top_.end());
+    }
+    *pos = Ranked{std::move(answer), paragraph};
+    // Only this candidate's key rose: move it up to its place.
+    for (; pos != top_.begin() && ahead(pos->answer, std::prev(pos)->answer);
+         --pos) {
+      std::iter_swap(pos, std::prev(pos));
+    }
+  }
+
+  /// The top, best first.
+  [[nodiscard]] std::vector<Ranked> take() { return std::move(top_); }
+
+ private:
+  static bool ahead(const A& a, const A& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.candidate < b.candidate;
+  }
+
+  std::vector<Ranked> top_;  // sorted by ahead()
+  std::size_t limit_;
+};
 
 }  // namespace qadist::qa

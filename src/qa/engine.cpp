@@ -49,7 +49,7 @@ Engine::Engine(const corpus::GeneratedCorpus& corpus, EngineConfig config)
 
 ProcessedQuestion Engine::process_question(std::uint32_t id,
                                            const std::string& text) const {
-  return question_processor_.process(id, text);
+  return analysis_.resolve(question_processor_.process(id, text));
 }
 
 std::vector<RetrievedParagraph> Engine::retrieve(
@@ -74,6 +74,18 @@ std::vector<Answer> Engine::answer_paragraph(const ProcessedQuestion& question,
                                              AnswerWork* work) const {
   return answer_processor_.process_paragraph(question, paragraph, analysis_,
                                              work);
+}
+
+void Engine::answer_candidates(const ProcessedQuestion& question,
+                               const ScoredParagraph& paragraph,
+                               std::vector<CandidateAnswer>& out,
+                               AnswerWork* work) const {
+  answer_processor_.score_candidates(question, paragraph, analysis_, out,
+                                     work);
+}
+
+Answer Engine::build_answer(CandidateAnswer candidate) const {
+  return answer_processor_.answer(std::move(candidate), analysis_);
 }
 
 std::vector<Answer> Engine::answer_paragraphs(

@@ -72,14 +72,18 @@ struct QAResult {
 ///
 /// Construction analyzes every paragraph once (CorpusAnalysis: interned
 /// tokens, norms, entity mentions) and builds the sub-collection indexes
-/// from that analysis. PS and AP look a paragraph's analysis up by its ref
+/// from that analysis. PR hands out views of the collection's paragraph
+/// text, never copies. PS and AP look a paragraph's analysis up by its ref
 /// and never re-tokenize its text; a paragraph whose ref or text length
-/// does not match the analyzed collection fails a QADIST_CHECK.
+/// does not match the analyzed collection, or a question not resolved by
+/// this engine's process_question, fails a QADIST_CHECK.
 class Engine {
  public:
   Engine(const corpus::GeneratedCorpus& corpus, EngineConfig config = {});
 
   // --- Stage API ------------------------------------------------------
+  /// QP, with the keywords resolved against the engine's analysis, as the
+  /// other stages need them.
   [[nodiscard]] ProcessedQuestion process_question(
       std::uint32_t id, const std::string& text) const;
 
@@ -97,10 +101,19 @@ class Engine {
       std::vector<ScoredParagraph> paragraphs) const;
 
   /// AP for one paragraph (iterative unit: the paragraph): its candidate
-  /// answers, unsorted.
+  /// answers with their text, unsorted.
   [[nodiscard]] std::vector<Answer> answer_paragraph(
       const ProcessedQuestion& question, const ScoredParagraph& paragraph,
       AnswerWork* work = nullptr) const;
+
+  /// AP's scoring for one paragraph: appends its candidate answers, without
+  /// window text, to `out`. A TopAnswers merges them; build_answer then
+  /// gives the kept ones their text.
+  void answer_candidates(const ProcessedQuestion& question,
+                         const ScoredParagraph& paragraph,
+                         std::vector<CandidateAnswer>& out,
+                         AnswerWork* work = nullptr) const;
+  [[nodiscard]] Answer build_answer(CandidateAnswer candidate) const;
 
   /// AP over a paragraph batch (iterative unit: the paragraph). Returns the
   /// batch's best `answers_requested` answers.

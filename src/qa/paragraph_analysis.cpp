@@ -18,6 +18,11 @@ CorpusAnalysis::CorpusAnalysis(const corpus::SubCollection& docs,
   }
 }
 
+ProcessedQuestion CorpusAnalysis::resolve(ProcessedQuestion question) const {
+  question.keyword_norms = text_.lexicon().resolve(question.keywords);
+  return question;
+}
+
 AnalyzedParagraph CorpusAnalysis::of(const RetrievedParagraph& paragraph) const {
   const std::uint32_t p = text_.ordinal(paragraph.ref);
   QADIST_CHECK(paragraph.text.size() == text_.text_bytes(p),
@@ -25,6 +30,14 @@ AnalyzedParagraph CorpusAnalysis::of(const RetrievedParagraph& paragraph) const 
                << paragraph.ref.index << ") has " << paragraph.text.size()
                << " bytes of text; the analyzed paragraph has "
                << text_.text_bytes(p));
+  return of_ordinal(p);
+}
+
+AnalyzedParagraph CorpusAnalysis::of(corpus::ParagraphRef ref) const {
+  return of_ordinal(text_.ordinal(ref));
+}
+
+AnalyzedParagraph CorpusAnalysis::of_ordinal(std::uint32_t p) const {
   return AnalyzedParagraph{
       &text_.lexicon(), text_.tokens(p),
       std::span<const EntityMention>(mentions_).subspan(

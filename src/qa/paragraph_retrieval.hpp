@@ -15,11 +15,15 @@ namespace qadist::qa {
 struct RetrievalWork {
   std::size_t postings_scanned = 0;
   std::size_t paragraphs_returned = 0;
-  std::size_t bytes_materialized = 0;  ///< paragraph text copied out
+  /// FALCON cost proxy: the text bytes of the returned paragraphs, which
+  /// FALCON's PR reads from disk and ships. The host code copies none of
+  /// it (RetrievedParagraph views the collection).
+  std::size_t bytes_materialized = 0;
 };
 
 /// Paragraph Retrieval (PR): Boolean retrieval against one sub-collection's
-/// index, followed by materialization of the matching paragraphs' text.
+/// index, returning the matching paragraphs as views of their text in the
+/// collection.
 /// The iterative unit is the sub-collection (paper Table 2), which is what
 /// the PR dispatcher partitions across nodes.
 class ParagraphRetriever {

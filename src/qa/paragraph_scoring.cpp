@@ -1,6 +1,7 @@
 #include "qa/paragraph_scoring.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "qa/text_match.hpp"
@@ -10,15 +11,16 @@ namespace qadist::qa {
 ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
                                        RetrievedParagraph paragraph,
                                        const CorpusAnalysis& analysis) const {
-  const auto map = map_keywords(analysis.of(paragraph), question.keywords);
+  std::vector<ir::KeywordHit> hits;
+  keyword_hits(analysis.of(paragraph), question, hits);
   const std::size_t k = question.keywords.size();
 
   // H1: completeness.
-  std::vector<bool> present(k, false);
-  for (int m : map)
-    if (m >= 0) present[static_cast<std::size_t>(m)] = true;
-  const auto present_count =
-      static_cast<std::size_t>(std::count(present.begin(), present.end(), true));
+  std::vector<std::uint32_t> need_count(k, 0);  // hits per keyword
+  std::size_t present_count = 0;
+  for (const auto& hit : hits) {
+    if (need_count[hit.keyword]++ == 0) ++present_count;
+  }
   const double h1 = k == 0 ? 0.0
                            : static_cast<double>(present_count) /
                                  static_cast<double>(k);
@@ -27,44 +29,33 @@ ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
   // adjacent in the paragraph, but monotone in keyword index).
   std::size_t best_run = 0;
   {
-    int prev_keyword = -1;
+    std::int64_t prev_keyword = -1;
     std::size_t run = 0;
-    for (int m : map) {
-      if (m < 0) continue;
-      if (m == prev_keyword + 1) {
-        ++run;
-      } else if (m <= prev_keyword) {
-        run = 1;
-      } else {
-        run = 1;
-      }
-      prev_keyword = m;
+    for (const auto& hit : hits) {
+      run = hit.keyword == prev_keyword + 1 ? run + 1 : 1;
+      prev_keyword = hit.keyword;
       best_run = std::max(best_run, run);
     }
   }
   const double h2 =
       k == 0 ? 0.0 : static_cast<double>(best_run) / static_cast<double>(k);
 
-  // H3: smallest token window containing one of each *present* keyword
-  // (classic minimum-window sliding scan).
+  // H3: smallest token window containing one of each present keyword
+  // (minimum-window sliding scan over the hits: a smallest window starts
+  // and ends on a hit).
   double h3 = 0.0;
   if (present_count > 0) {
-    std::vector<std::size_t> need_count(k, 0);
+    std::fill(need_count.begin(), need_count.end(), 0);
     std::size_t covered = 0;
     std::size_t best_window = std::numeric_limits<std::size_t>::max();
     std::size_t left = 0;
-    for (std::size_t right = 0; right < map.size(); ++right) {
-      const int m = map[right];
-      if (m >= 0 && present[static_cast<std::size_t>(m)]) {
-        if (need_count[static_cast<std::size_t>(m)]++ == 0) ++covered;
-      }
+    for (const auto& hit : hits) {
+      if (need_count[hit.keyword]++ == 0) ++covered;
       while (covered == present_count) {
-        best_window = std::min(best_window, right - left + 1);
-        const int lm = map[left];
-        if (lm >= 0 && present[static_cast<std::size_t>(lm)]) {
-          if (--need_count[static_cast<std::size_t>(lm)] == 0) --covered;
-        }
-        ++left;
+        const auto& first = hits[left++];
+        best_window = std::min<std::size_t>(
+            best_window, hit.position - first.position + 1);
+        if (--need_count[first.keyword] == 0) --covered;
       }
     }
     // A window equal to the keyword count is perfect (all adjacent).
@@ -75,7 +66,7 @@ ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
   ScoredParagraph scored;
   scored.score = weights_.completeness * h1 + weights_.sequence * h2 +
                  weights_.proximity * h3;
-  scored.paragraph = std::move(paragraph);
+  scored.paragraph = paragraph;
   return scored;
 }
 

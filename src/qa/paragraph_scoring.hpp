@@ -18,8 +18,10 @@ namespace qadist::qa {
 ///  H3 proximity:    1 / (1 + smallest token window covering all present
 ///                   keywords).
 ///
-/// The paragraph's tokens and norms come from its CorpusAnalysis, so the
-/// per-question work is integer keyword matching plus the heuristics.
+/// The paragraph's tokens and norms come from its CorpusAnalysis and the
+/// question's keyword norms were resolved once, so the per-paragraph work
+/// is one filter test per token, then the heuristics over the paragraph's
+/// keyword hits.
 class ParagraphScorer {
  public:
   struct Weights {

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/entity.hpp"
 #include "corpus/generator.hpp"
+#include "ir/analysis.hpp"
 
 namespace qadist::qa {
 
@@ -17,13 +19,17 @@ struct ProcessedQuestion {
   std::string text;
   corpus::EntityType answer_type = corpus::EntityType::kUnknown;
   std::vector<std::string> keywords;
+  /// `keywords` resolved once against the analyzed collection PS and AP
+  /// read (CorpusAnalysis::resolve; Engine::process_question does it).
+  ir::KeywordNorms keyword_norms;
 };
 
-/// A paragraph handed from Paragraph Retrieval to scoring: its address,
-/// materialized text, and the retrieval-time keyword hit count.
+/// A paragraph handed from Paragraph Retrieval to scoring: its address, a
+/// view of its text in the (immutable) collection, and the retrieval-time
+/// keyword hit count.
 struct RetrievedParagraph {
   corpus::ParagraphRef ref;
-  std::string text;
+  std::string_view text;
   std::uint32_t keywords_present = 0;
 };
 
@@ -42,6 +48,18 @@ struct Answer {
   double score = 0.0;
   corpus::ParagraphRef ref;
   corpus::EntityType type = corpus::EntityType::kUnknown;
+};
+
+/// A scored answer before its window text is built: the Answer's fields
+/// but `window`, and the token span the window is built from. AP scores
+/// every candidate into one of these; only the answers kept get text.
+struct CandidateAnswer {
+  std::string candidate;
+  double score = 0.0;
+  corpus::ParagraphRef ref;
+  corpus::EntityType type = corpus::EntityType::kUnknown;
+  std::uint32_t window_first = 0;   ///< first token of the answer window
+  std::uint32_t window_tokens = 0;  ///< its length in tokens
 };
 
 }  // namespace qadist::qa

@@ -1,26 +1,18 @@
 #include "qa/text_match.hpp"
 
+#include "common/check.hpp"
+
 namespace qadist::qa {
 
-std::vector<int> map_keywords(const AnalyzedParagraph& paragraph,
-                              std::span<const std::string> keywords) {
-  std::vector<ir::NormId> norms;
-  norms.reserve(keywords.size());
-  for (const auto& keyword : keywords) {
-    norms.push_back(paragraph.lexicon->find_norm(keyword));
-  }
-  std::vector<int> map(paragraph.tokens.size(), -1);
-  for (std::size_t t = 0; t < paragraph.tokens.size(); ++t) {
-    const ir::NormId norm = paragraph.lexicon->norm(paragraph.tokens[t].word());
-    if (norm == ir::kStopword) continue;
-    for (std::size_t k = 0; k < norms.size(); ++k) {
-      if (norms[k] == norm) {
-        map[t] = static_cast<int>(k);
-        break;
-      }
-    }
-  }
-  return map;
+void keyword_hits(const AnalyzedParagraph& paragraph,
+                  const ProcessedQuestion& question,
+                  std::vector<ir::KeywordHit>& hits) {
+  paragraph.lexicon->keyword_hits(paragraph.tokens, question.keyword_norms,
+                                  hits);
+  QADIST_CHECK(question.keyword_norms.norms.size() == question.keywords.size(),
+               << "question " << question.id << " has "
+               << question.keywords.size() << " keywords but "
+               << question.keyword_norms.norms.size() << " resolved");
 }
 
 std::string surface_span(const AnalyzedParagraph& paragraph, std::size_t first,
@@ -37,6 +29,35 @@ std::string surface_span(const AnalyzedParagraph& paragraph, std::size_t first,
     }
   }
   return out;
+}
+
+std::string trim_window(std::string window, const std::string& candidate,
+                        std::size_t budget) {
+  if (window.size() <= budget) return window;
+  const std::size_t cand_pos = window.find(candidate);
+  const std::size_t cand_mid =
+      cand_pos == std::string::npos ? window.size() / 2
+                                    : cand_pos + candidate.size() / 2;
+  std::size_t begin = cand_mid > budget / 2 ? cand_mid - budget / 2 : 0;
+  if (begin + budget > window.size()) begin = window.size() - budget;
+  // Snap to token boundaries (never cutting into the candidate itself).
+  std::size_t end = begin + budget;
+  if (begin > 0) {
+    const std::size_t space = window.find(' ', begin);
+    if (space != std::string::npos &&
+        (cand_pos == std::string::npos || space < cand_pos)) {
+      begin = space + 1;
+    }
+  }
+  if (end < window.size()) {
+    const std::size_t space = window.rfind(' ', end);
+    if (space != std::string::npos && space > begin &&
+        (cand_pos == std::string::npos ||
+         space >= cand_pos + candidate.size())) {
+      end = space;
+    }
+  }
+  return window.substr(begin, end - begin);
 }
 
 }  // namespace qadist::qa

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "qa/question_processing.hpp"
 #include "support/analyzed_text.hpp"
+#include "support/reference_qa.hpp"
 
 namespace qadist::qa {
 namespace {
@@ -20,12 +22,12 @@ class ApTest : public ::testing::Test {
     gazetteer_.add("Amsen Steel Works", EntityType::kOrganization);
   }
 
-  ScoredParagraph make_paragraph(std::string text, double score = 0.8,
-                                 corpus::DocId doc = 0,
-                                 std::uint32_t idx = 0) {
+  static ScoredParagraph make_paragraph(std::string_view text,
+                                        double score = 0.8,
+                                        corpus::DocId doc = 0,
+                                        std::uint32_t idx = 0) {
     return ScoredParagraph{
-        RetrievedParagraph{corpus::ParagraphRef{doc, idx}, std::move(text), 0},
-        score};
+        RetrievedParagraph{corpus::ParagraphRef{doc, idx}, text, 0}, score};
   }
 
   /// AP on a free paragraph through its own analysis.
@@ -34,7 +36,7 @@ class ApTest : public ::testing::Test {
                                         AnswerWork* work = nullptr) const {
     const auto analysis =
         testing::analyze_paragraphs(p.paragraph, analyzer_, ner_);
-    return ap_.process_paragraph(q, p, analysis, work);
+    return ap_.process_paragraph(analysis.resolve(q), p, analysis, work);
   }
 
   corpus::Gazetteer gazetteer_;
@@ -114,7 +116,7 @@ TEST_F(ApTest, ProcessBatchDeduplicatesAndLimits) {
       "the Amsen Lighthouse is near Lake Tarnin .", 0.7, 2, 0));
   AnswerWork work;
   const auto analysis = testing::analyze_paragraphs(batch, analyzer_, ner_);
-  const auto answers = ap_.process(q, batch, analysis, &work);
+  const auto answers = ap_.process(analysis.resolve(q), batch, analysis, &work);
   // Two distinct candidates, Port Varen deduplicated across paragraphs.
   ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers[0].candidate, "Port Varen");
@@ -134,39 +136,122 @@ TEST_F(ApTest, WorkCountersAccumulate) {
   EXPECT_GE(work.windows_scored, 1u);
 }
 
-TEST(SortAnswersTest, SortsDescendingDeduplicates) {
-  std::vector<Answer> answers;
-  Answer a;
-  a.candidate = "X";
-  a.score = 0.5;
-  answers.push_back(a);
-  a.candidate = "Y";
-  a.score = 0.9;
-  answers.push_back(a);
-  a.candidate = "X";
-  a.score = 0.7;  // better window for X
-  answers.push_back(a);
+// --------------------------------------------------------------- TopAnswers
 
-  const auto sorted = sort_answers(std::move(answers), 10);
+/// Offers `answers` to a TopAnswers in order, answer i from paragraph
+/// `paragraph[i]`, and returns its list.
+std::vector<Answer> top_of(std::vector<Answer> answers,
+                           const std::vector<std::size_t>& paragraph,
+                           std::size_t limit) {
+  TopAnswers<Answer> top(limit);
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    top.offer(std::move(answers[i]), paragraph[i]);
+  }
+  std::vector<Answer> out;
+  for (auto& ranked : top.take()) out.push_back(std::move(ranked.answer));
+  return out;
+}
+
+std::vector<Answer> top_of(std::vector<Answer> answers, std::size_t limit) {
+  std::vector<std::size_t> paragraph(answers.size());
+  for (std::size_t i = 0; i < paragraph.size(); ++i) paragraph[i] = i;
+  return top_of(std::move(answers), paragraph, limit);
+}
+
+Answer answer(std::string candidate, double score, corpus::DocId doc = 0) {
+  Answer a;
+  a.candidate = std::move(candidate);
+  a.score = score;
+  a.ref = corpus::ParagraphRef{doc, 0};
+  a.window = "window of " + a.candidate + " in " + std::to_string(doc);
+  return a;
+}
+
+void expect_same(const std::vector<Answer>& got,
+                 const std::vector<Answer>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].candidate, want[i].candidate) << i;
+    EXPECT_EQ(got[i].window, want[i].window) << i;
+    EXPECT_EQ(got[i].score, want[i].score) << i;
+    EXPECT_EQ(got[i].ref, want[i].ref) << i;
+  }
+}
+
+TEST(TopAnswersTest, SortsDescendingDeduplicates) {
+  std::vector<Answer> answers = {answer("X", 0.5), answer("Y", 0.9),
+                                 answer("X", 0.7, 2)};  // better window for X
+  const auto sorted = top_of(answers, 10);
   ASSERT_EQ(sorted.size(), 2u);
   EXPECT_EQ(sorted[0].candidate, "Y");
   EXPECT_EQ(sorted[1].candidate, "X");
   EXPECT_DOUBLE_EQ(sorted[1].score, 0.7);
+  EXPECT_EQ(sorted[1].ref.doc, 2u);
+  expect_same(sorted, testing::sort_answers(answers, 10));
 }
 
-TEST(SortAnswersTest, LimitTruncates) {
+TEST(TopAnswersTest, LimitTruncates) {
   std::vector<Answer> answers;
   for (int i = 0; i < 10; ++i) {
-    Answer a;
-    a.candidate = "c" + std::to_string(i);
-    a.score = i * 0.1;
-    answers.push_back(a);
+    answers.push_back(answer(std::to_string(i), i * 0.1));
   }
-  EXPECT_EQ(sort_answers(std::move(answers), 3).size(), 3u);
+  expect_same(top_of(answers, 3), testing::sort_answers(answers, 3));
+  EXPECT_EQ(top_of(answers, 3).size(), 3u);
+  EXPECT_TRUE(top_of(answers, 0).empty());
 }
 
-TEST(SortAnswersTest, EmptyInput) {
-  EXPECT_TRUE(sort_answers({}, 5).empty());
+TEST(TopAnswersTest, EmptyInput) { EXPECT_TRUE(top_of({}, 5).empty()); }
+
+TEST(TopAnswersTest, EqualScoresKeepTheFirstAnswerAndSortByCandidate) {
+  std::vector<Answer> answers = {answer("b", 0.5, 1), answer("a", 0.5, 2),
+                                 answer("b", 0.5, 3), answer("c", 0.5, 4)};
+  const auto top = top_of(answers, 2);
+  expect_same(top, testing::sort_answers(answers, 2));
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].candidate, "a");
+  EXPECT_EQ(top[1].ref.doc, 1u);  // b's first answer
+}
+
+// Random answer lists over few candidates and few scores (ties at every
+// level): TopAnswers over the list in paragraph order is sort_answers' list
+// in every field, and so is the merge of TopAnswers over any split of the
+// list into worker shares, whatever order the shares are merged in.
+TEST(TopAnswersTest, MatchesSortAnswersOnRandomTies) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = rng.uniform_u64(0, 40);
+    const std::size_t limit = rng.uniform_u64(0, 6);
+    std::vector<Answer> answers;
+    std::vector<std::size_t> paragraph;
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      p += rng.uniform_u64(0, 1);  // several answers per paragraph
+      answers.push_back(
+          answer(std::string(1, static_cast<char>('a' + rng.uniform_u64(0, 7))),
+                 0.125 * static_cast<double>(rng.uniform_u64(0, 4)),
+                 static_cast<corpus::DocId>(p)));
+      paragraph.push_back(p);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto want = testing::sort_answers(answers, limit);
+    expect_same(top_of(answers, paragraph, limit), want);
+
+    const std::size_t workers = rng.uniform_u64(1, 4);
+    std::vector<TopAnswers<Answer>> tops(workers, TopAnswers<Answer>(limit));
+    for (std::size_t i = 0; i < n; ++i) {
+      tops[rng.uniform_u64(0, workers - 1)].offer(Answer(answers[i]),
+                                                  paragraph[i]);
+    }
+    TopAnswers<Answer> merged(limit);
+    for (std::size_t w = workers; w-- > 0;) {
+      for (auto& ranked : tops[w].take()) {
+        merged.offer(std::move(ranked.answer), ranked.paragraph);
+      }
+    }
+    std::vector<Answer> got;
+    for (auto& ranked : merged.take()) got.push_back(std::move(ranked.answer));
+    expect_same(got, want);
+  }
 }
 
 }  // namespace

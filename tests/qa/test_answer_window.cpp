@@ -17,20 +17,18 @@ class AnswerWindowTest : public ::testing::TestWithParam<std::size_t> {
   AnswerWindowTest() : qp_(analyzer_), ner_(gazetteer_, analyzer_) {
     gazetteer_.add("Port Varen", EntityType::kLocation);
     gazetteer_.add("the Amsen Lighthouse", EntityType::kLocation);
+    std::string filler;
+    for (int i = 0; i < 40; ++i) filler += "wordy filler text segment ";
+    long_text_ =
+        filler + "the Amsen Lighthouse is located in Port Varen . " + filler;
   }
 
   ScoredParagraph long_paragraph() const {
-    std::string filler;
-    for (int i = 0; i < 40; ++i) filler += "wordy filler text segment ";
     return ScoredParagraph{
-        RetrievedParagraph{
-            corpus::ParagraphRef{0, 0},
-            filler + "the Amsen Lighthouse is located in Port Varen . " +
-                filler,
-            0},
-        0.8};
+        RetrievedParagraph{corpus::ParagraphRef{0, 0}, long_text_, 0}, 0.8};
   }
 
+  std::string long_text_;
   corpus::Gazetteer gazetteer_;
   ir::Analyzer analyzer_;
   QuestionProcessor qp_;
@@ -41,10 +39,12 @@ TEST_P(AnswerWindowTest, WindowRespectsByteBudget) {
   AnswerProcessor::Config cfg;
   cfg.answer_window_bytes = GetParam();
   AnswerProcessor ap(cfg);
-  const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
   const auto p = long_paragraph();
-  const auto answers = ap.process_paragraph(
-      q, p, testing::analyze_paragraphs(p.paragraph, analyzer_, ner_));
+  const auto analysis =
+      testing::analyze_paragraphs(p.paragraph, analyzer_, ner_);
+  const auto q =
+      analysis.resolve(qp_.process(0, "Where is the Amsen Lighthouse ?"));
+  const auto answers = ap.process_paragraph(q, p, analysis);
   ASSERT_FALSE(answers.empty());
   for (const auto& a : answers) {
     EXPECT_LE(a.window.size(), GetParam())
@@ -68,14 +68,15 @@ TEST(AnswerWindowDefaultTest, ShortWindowsUntouched) {
   QuestionProcessor qp(analyzer);
   EntityRecognizer ner(gazetteer, analyzer);
   AnswerProcessor ap;
-  const auto q = qp.process(0, "Where is the Amsen Lighthouse ?");
   const ScoredParagraph p{
       RetrievedParagraph{corpus::ParagraphRef{0, 0},
                          "the Amsen Lighthouse is located in Port Varen .",
                          0},
       0.8};
-  const auto answers = ap.process_paragraph(
-      q, p, testing::analyze_paragraphs(p.paragraph, analyzer, ner));
+  const auto analysis = testing::analyze_paragraphs(p.paragraph, analyzer, ner);
+  const auto q =
+      analysis.resolve(qp.process(0, "Where is the Amsen Lighthouse ?"));
+  const auto answers = ap.process_paragraph(q, p, analysis);
   ASSERT_FALSE(answers.empty());
   // The window is shorter than the 250-byte default: intact.
   EXPECT_NE(answers[0].window.find("located in Port Varen"),

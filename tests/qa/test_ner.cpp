@@ -27,7 +27,7 @@ class NerTest : public ::testing::Test {
 
   /// recognize_text's mentions of `text`, each with its surface form.
   std::vector<Found> recognize(std::string text) const {
-    const RetrievedParagraph p{corpus::ParagraphRef{0, 0}, std::move(text), 0};
+    const RetrievedParagraph p{corpus::ParagraphRef{0, 0}, text, 0};
     const auto analysis = testing::analyze_paragraphs(p, analyzer_, ner_);
     std::vector<Found> out;
     for (const auto& m : ner_.recognize_text(p.text)) {

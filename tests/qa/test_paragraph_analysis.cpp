@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "qa/question_processing.hpp"
 #include "support/test_world.hpp"
 
 namespace qadist::qa {
@@ -93,10 +94,43 @@ TEST(ParagraphAnalysisDeathTest, TextOfAnotherLengthDies) {
   const auto& world = test_world();
   const auto pq = world.engine->process_question(0, world.questions[0].text);
   const auto& doc = world.corpus.collection.document(0);
-  const RetrievedParagraph edited{{0, 0}, doc.paragraphs[0] + " Port Amsen", 0};
+  const std::string edited_text = doc.paragraphs[0] + " Port Amsen";
+  const RetrievedParagraph edited{{0, 0}, edited_text, 0};
   EXPECT_DEATH((void)world.engine->score(pq, edited), "bytes of text");
   EXPECT_DEATH((void)world.engine->answer_paragraph(pq, {edited, 1.0}),
                "bytes of text");
+}
+
+// PS and AP read a question's keywords as norm ids of one lexicon; a
+// question resolved against another analysis, or not at all, is refused
+// rather than matched against the wrong ids.
+TEST(ParagraphAnalysisDeathTest, QuestionResolvedElsewhereDies) {
+  const auto& world = test_world();
+  const auto& engine = *world.engine;
+  const auto& doc = world.corpus.collection.document(0);
+  const RetrievedParagraph paragraph{{0, 0}, doc.paragraphs[0], 0};
+  const auto pq = engine.process_question(0, world.questions[0].text);
+  (void)engine.score(pq, paragraph);  // resolved here: fine
+
+  const ir::Analyzer analyzer;
+  const QuestionProcessor qp(analyzer);
+  const auto unresolved = qp.process(0, world.questions[0].text);
+  EXPECT_DEATH((void)engine.score(unresolved, paragraph),
+               "not resolved against this analysis");
+
+  // The same documents analyzed again are another analysis.
+  const CorpusAnalysis other(
+      corpus::SubCollection(&world.corpus.collection, 0, 1), analyzer,
+      EntityRecognizer(world.corpus.gazetteer, analyzer));
+  const auto foreign = other.resolve(unresolved);
+  EXPECT_DEATH((void)engine.score(foreign, paragraph),
+               "not resolved against this analysis");
+  EXPECT_DEATH((void)engine.answer_paragraph(foreign, {paragraph, 1.0}),
+               "not resolved against this analysis");
+
+  auto edited = pq;
+  edited.keywords.push_back("amsen");
+  EXPECT_DEATH((void)engine.score(edited, paragraph), "keywords but");
 }
 
 }  // namespace

@@ -13,18 +13,17 @@ class ScoringTest : public ::testing::Test {
  protected:
   ScoringTest() : qp_(analyzer_), ner_(gazetteer_, analyzer_) {}
 
-  RetrievedParagraph make_paragraph(std::string text,
-                                    corpus::DocId doc = 0,
-                                    std::uint32_t idx = 0) {
-    return RetrievedParagraph{corpus::ParagraphRef{doc, idx}, std::move(text),
-                              0};
+  static RetrievedParagraph make_paragraph(std::string_view text,
+                                           corpus::DocId doc = 0,
+                                           std::uint32_t idx = 0) {
+    return RetrievedParagraph{corpus::ParagraphRef{doc, idx}, text, 0};
   }
 
   /// Scores a free paragraph through its own analysis.
   ScoredParagraph score(const ProcessedQuestion& q,
                         RetrievedParagraph p) const {
     const auto analysis = testing::analyze_paragraphs(p, analyzer_, ner_);
-    return scorer_.score(q, std::move(p), analysis);
+    return scorer_.score(analysis.resolve(q), p, analysis);
   }
 
   corpus::Gazetteer gazetteer_;
@@ -90,7 +89,8 @@ TEST_F(ScoringTest, ScoreAllPreservesOrderAndCount) {
   batch.push_back(make_paragraph("amsen lighthouse", 0, 0));
   batch.push_back(make_paragraph("nothing", 0, 1));
   const auto analysis = testing::analyze_paragraphs(batch, analyzer_, ner_);
-  const auto scored = scorer_.score_all(q, std::move(batch), analysis);
+  const auto scored =
+      scorer_.score_all(analysis.resolve(q), std::move(batch), analysis);
   ASSERT_EQ(scored.size(), 2u);
   EXPECT_EQ(scored[0].paragraph.ref, (corpus::ParagraphRef{0, 0}));
   EXPECT_EQ(scored[1].paragraph.ref, (corpus::ParagraphRef{0, 1}));

@@ -10,18 +10,31 @@ namespace {
 class TextMatchTest : public ::testing::Test {
  protected:
   /// `text` analyzed as one paragraph.
-  struct Analyzed {
-    RetrievedParagraph paragraph;
-    CorpusAnalysis analysis;
-    [[nodiscard]] AnalyzedParagraph view() const {
-      return analysis.of(paragraph);
-    }
-  };
+  CorpusAnalysis analyze(std::string_view text) const {
+    return testing::analyze_paragraphs(
+        RetrievedParagraph{corpus::ParagraphRef{0, 0}, text, 0}, analyzer_,
+        ner_);
+  }
 
-  Analyzed analyze(std::string text) const {
-    RetrievedParagraph p{corpus::ParagraphRef{0, 0}, std::move(text), 0};
-    auto analysis = testing::analyze_paragraphs(p, analyzer_, ner_);
-    return Analyzed{std::move(p), std::move(analysis)};
+  /// The keyword hits of `text` for `keywords`, resolved against its
+  /// analysis.
+  std::vector<ir::KeywordHit> hits(std::string_view text,
+                                   std::vector<std::string> keywords) const {
+    const auto analysis = analyze(text);
+    ProcessedQuestion question;
+    question.keywords = std::move(keywords);
+    std::vector<ir::KeywordHit> out;
+    keyword_hits(analysis.of(corpus::ParagraphRef{0, 0}),
+                 analysis.resolve(question), out);
+    return out;
+  }
+
+  /// (position, keyword) of each hit.
+  using Pairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  static Pairs pairs(const std::vector<ir::KeywordHit>& hits) {
+    Pairs out;
+    for (const auto& hit : hits) out.emplace_back(hit.position, hit.keyword);
+    return out;
   }
 
   corpus::Gazetteer gazetteer_;
@@ -29,49 +42,53 @@ class TextMatchTest : public ::testing::Test {
   EntityRecognizer ner_{gazetteer_, analyzer_};
 };
 
-TEST_F(TextMatchTest, MapsStemmedKeywords) {
-  const std::vector<std::string> keywords = {"found", "amsen"};
-  const auto text = analyze("he founded the Amsen works");
-  const auto map = map_keywords(text.view(), keywords);
-  ASSERT_EQ(map.size(), 5u);
-  EXPECT_EQ(map[0], -1);  // "he"
-  EXPECT_EQ(map[1], 0);   // "founded" -> "found"
-  EXPECT_EQ(map[2], -1);  // "the" (stopword)
-  EXPECT_EQ(map[3], 1);   // "amsen"
-  EXPECT_EQ(map[4], -1);  // "works" -> "work" not a keyword
+TEST_F(TextMatchTest, HitsStemmedKeywords) {
+  // "he"(0) "founded"(1) -> "found" "the"(2, stopword) "amsen"(3)
+  // "works"(4) -> "work", not a keyword.
+  EXPECT_EQ(pairs(hits("he founded the Amsen works", {"found", "amsen"})),
+            (Pairs{{1, 0}, {3, 1}}));
 }
 
 TEST_F(TextMatchTest, NumericTokensMatchVerbatim) {
-  const std::vector<std::string> keywords = {"340000"};
-  const auto text = analyze("population of 340000 people");
-  const auto map = map_keywords(text.view(), keywords);
-  EXPECT_EQ(map[2], 0);
+  EXPECT_EQ(pairs(hits("population of 340000 people", {"340000"})),
+            (Pairs{{2, 0}}));
 }
 
 TEST_F(TextMatchTest, FirstMatchingKeywordWins) {
-  // A token matching multiple keywords maps to the first (question order).
-  const std::vector<std::string> keywords = {"amsen", "amsen"};
-  const auto text = analyze("amsen");
-  EXPECT_EQ(map_keywords(text.view(), keywords)[0], 0);
+  // A token matching multiple keywords hits the first (question order).
+  EXPECT_EQ(pairs(hits("amsen", {"amsen", "amsen"})), (Pairs{{0, 0}}));
 }
 
 TEST_F(TextMatchTest, EmptyInputs) {
-  EXPECT_TRUE(map_keywords(analyze("").view(), {}).empty());
-  const auto text = analyze("some words");
-  const auto map = map_keywords(text.view(), {});
-  for (int m : map) EXPECT_EQ(m, -1);
+  EXPECT_TRUE(hits("", {}).empty());
+  EXPECT_TRUE(hits("some words", {}).empty());
+  EXPECT_TRUE(hits("", {"amsen"}).empty());
+}
+
+TEST_F(TextMatchTest, KeywordAbsentFromTheLexiconNeverHits) {
+  const auto analysis = analyze("the amsen lighthouse");
+  ProcessedQuestion question;
+  question.keywords = {"zzyzx", "amsen"};
+  question = analysis.resolve(question);
+  ASSERT_EQ(question.keyword_norms.norms.size(), 2u);
+  EXPECT_EQ(question.keyword_norms.norms[0], ir::kNoNorm);
+  std::vector<ir::KeywordHit> out;
+  keyword_hits(analysis.of(corpus::ParagraphRef{0, 0}), question, out);
+  EXPECT_EQ(pairs(out), (Pairs{{1, 1}}));
 }
 
 TEST_F(TextMatchTest, SurfaceSpanRecapitalizes) {
-  const auto text = analyze("the Amsen Lighthouse is TALL");
-  EXPECT_EQ(surface_span(text.view(), 0, 3), "the Amsen Lighthouse");
-  EXPECT_EQ(surface_span(text.view(), 4, 1), "Tall");  // only first letter restored
+  const auto analysis = analyze("the Amsen Lighthouse is TALL");
+  const auto text = analysis.of(corpus::ParagraphRef{0, 0});
+  EXPECT_EQ(surface_span(text, 0, 3), "the Amsen Lighthouse");
+  EXPECT_EQ(surface_span(text, 4, 1), "Tall");  // only first letter restored
 }
 
 TEST_F(TextMatchTest, SurfaceSpanClampsAtEnd) {
-  const auto text = analyze("one two");
-  EXPECT_EQ(surface_span(text.view(), 1, 10), "two");
-  EXPECT_EQ(surface_span(text.view(), 5, 2), "");
+  const auto analysis = analyze("one two");
+  const auto text = analysis.of(corpus::ParagraphRef{0, 0});
+  EXPECT_EQ(surface_span(text, 1, 10), "two");
+  EXPECT_EQ(surface_span(text, 5, 2), "");
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ inline qa::CorpusAnalysis analyze_paragraphs(
     }
     auto& texts = docs[p.ref.doc].paragraphs;
     if (texts.size() <= p.ref.index) texts.resize(p.ref.index + 1);
-    texts[p.ref.index] = p.text;
+    texts[p.ref.index] = std::string(p.text);
   }
   const corpus::Collection collection(std::move(docs));
   return qa::CorpusAnalysis(

@@ -47,11 +47,13 @@ int main() {
       std::printf("  %zu. %-28s score %.3f\n     ... %s ...\n", i + 1,
                   a.candidate.c_str(), a.score, a.window.c_str());
     }
+    // The work each module did, not its host time, so the output is the
+    // same on every machine.
     std::printf(
-        "     [qp %.1f ms | pr %.1f ms | ps %.1f ms | po %.1f ms | ap %.1f "
-        "ms]\n",
-        result.times.qp * 1e3, result.times.pr * 1e3, result.times.ps * 1e3,
-        result.times.po * 1e3, result.times.ap * 1e3);
+        "     [%zu paragraphs retrieved, %zu accepted | ap %zu tokens, %zu "
+        "windows scored]\n",
+        result.work.paragraphs_retrieved, result.work.paragraphs_accepted,
+        result.work.answer.tokens_scanned, result.work.answer.windows_scored);
   }
   return 0;
 }

@@ -51,36 +51,38 @@ void FairShareServer::advance() {
 }
 
 void FairShareServer::reschedule() {
-  ++generation_;
-  if (flows_.empty()) return;
+  if (flows_.empty()) {
+    sim_.cancel(completion_);
+    return;
+  }
   const double rate = per_flow_rate();
   QADIST_CHECK(rate > 0.0);
   double min_remaining = std::numeric_limits<double>::infinity();
   for (const auto& flow : flows_)
     min_remaining = std::min(min_remaining, flow.remaining);
   const Seconds eta = std::max(0.0, min_remaining) / rate;
-  const std::uint64_t gen = generation_;
-  sim_.schedule(eta, [this, gen] { on_completion(gen); });
+  if (!sim_.retime(completion_, eta)) {
+    completion_ = sim_.schedule(eta, [this] { on_completion(); });
+  }
 }
 
-void FairShareServer::on_completion(std::uint64_t generation) {
-  if (generation != generation_) return;  // superseded by a later change
+void FairShareServer::on_completion() {
   advance();
   const double rate = per_flow_rate();
-  std::vector<std::coroutine_handle<>> finished;
+  finished_.clear();
   for (auto it = flows_.begin(); it != flows_.end();) {
     if (it->remaining <= done_tolerance(it->total, rate)) {
       work_served_ += it->total;
-      finished.push_back(it->handle);
+      finished_.push_back(it->handle);
       it = flows_.erase(it);
     } else {
       ++it;
     }
   }
-  QADIST_CHECK(!finished.empty(),
+  QADIST_CHECK(!finished_.empty(),
                << name_ << ": completion event found no finished flow");
   reschedule();
-  for (auto h : finished) {
+  for (auto h : finished_) {
     sim_.schedule(0.0, [h] { h.resume(); });
   }
 }
@@ -101,7 +103,7 @@ void FairShareServer::halt() {
   if (halted_) return;
   advance();
   halted_ = true;
-  ++generation_;  // invalidate any scheduled completion event
+  sim_.cancel(completion_);
   std::vector<Flow> orphans = std::move(flows_);
   flows_.clear();
   for (const auto& flow : orphans) {

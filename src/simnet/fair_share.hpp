@@ -1,7 +1,6 @@
 #pragma once
 
 #include <coroutine>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,9 +29,9 @@ namespace qadist::simnet {
 ///
 /// The implementation is event-driven: whenever the customer set changes,
 /// remaining work is advanced at the old rate, the per-customer rate is
-/// recomputed, and the next completion is (re)scheduled. Completion events
-/// are invalidated by a generation counter rather than removed from the
-/// queue. Cost: O(F) per arrival/departure — fine for cluster-scale F.
+/// recomputed, and the server's one pending completion event is retimed
+/// (or cancelled when no customer is left). Cost: O(F) per
+/// arrival/departure — fine for cluster-scale F.
 ///
 /// Load accounting for the schedulers: the server integrates both the
 /// customer count (`load_integral`, the simulated /proc loadavg) and the
@@ -121,8 +120,8 @@ class FairShareServer {
 
   [[nodiscard]] double per_flow_rate() const;
   void advance();      // settle work/integrals up to sim_.now()
-  void reschedule();   // plan the next completion event
-  void on_completion(std::uint64_t generation);
+  void reschedule();   // retime, schedule or cancel `completion_`
+  void on_completion();
 
   Simulation& sim_;
   std::string name_;
@@ -133,7 +132,8 @@ class FairShareServer {
   double load_integral_ = 0.0;
   double busy_integral_ = 0.0;
   double work_served_ = 0.0;
-  std::uint64_t generation_ = 0;
+  EventId completion_;  // the next completion; stale while none is planned
+  std::vector<std::coroutine_handle<>> finished_;  // on_completion scratch
   bool halted_ = false;
 };
 

@@ -57,9 +57,10 @@ class Link {
         link_.sim_->schedule(lead, [h] { h.resume(); });
         return;
       }
-      const double wire_bytes = verdict_.duplicated ? 2.0 * bytes_ : bytes_;
-      link_.sim_->schedule(lead, [this, h, wire_bytes] {
-        link_.channel_->enqueue(wire_bytes, h);
+      // Captures 16 bytes, so std::function stores it without allocating.
+      link_.sim_->schedule(lead, [this, h] {
+        link_.channel_->enqueue(verdict_.duplicated ? 2.0 * bytes_ : bytes_,
+                                h);
       });
     }
     LinkVerdict await_resume() const noexcept { return verdict_; }

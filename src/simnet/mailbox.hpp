@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -34,7 +33,7 @@ class Mailbox {
     if (!receivers_.empty()) {
       Waiter* r = receivers_.front();
       receivers_.pop_front();
-      if (r->settled != nullptr) *r->settled = true;
+      sim_->cancel(r->timer);  // a timed receive's timeout lost the race
       r->slot = std::move(value);
       auto h = r->handle;
       sim_->schedule(0.0, [h] { h.resume(); });
@@ -48,14 +47,14 @@ class Mailbox {
     return !receivers_.empty();
   }
 
-  /// A suspended receiver. `settled` guards the race between delivery and
-  /// a pending timeout event: whichever path fires first sets it, the
-  /// loser becomes a no-op (the shared_ptr outlives the awaiter, so a
-  /// late timeout callback never dereferences a destroyed frame).
+  /// A suspended receiver. A timed receive's timeout event is cancelled
+  /// by the send() that serves it, so it never fires after the awaiting
+  /// frame has moved on; the timeout in turn dequeues the receiver before
+  /// resuming it.
   struct Waiter {
     std::optional<T> slot;
     std::coroutine_handle<> handle;
-    std::shared_ptr<bool> settled;  // null for untimed receives
+    EventId timer;  // the pending timeout of a timed receive, else stale
   };
 
   struct [[nodiscard]] Awaiter : Waiter {
@@ -100,13 +99,10 @@ class Mailbox {
     }
     void await_suspend(std::coroutine_handle<> h) {
       this->handle = h;
-      this->settled = std::make_shared<bool>(false);
       box.receivers_.push_back(this);
       Mailbox* b = &box;
       Waiter* self = this;
-      box.sim_->schedule(timeout, [b, self, settled = this->settled] {
-        if (*settled) return;  // a send() won the race
-        *settled = true;
+      this->timer = box.sim_->schedule(timeout, [b, self] {
         auto& rs = b->receivers_;
         rs.erase(std::remove(rs.begin(), rs.end(), self), rs.end());
         self->handle.resume();  // slot stays empty -> nullopt

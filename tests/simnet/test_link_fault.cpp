@@ -21,15 +21,16 @@ TEST(LinkFaultPlanTest, DefaultPlanIsDisabled) {
 }
 
 TEST(LinkFaultPlanTest, MalformedPlansPanic) {
-  EXPECT_DEATH(LinkFaultInjector(LinkFaultPlan{.drop_probability = 1.5}, 1),
-               "");
-  EXPECT_DEATH(LinkFaultInjector(LinkFaultPlan{.duplicate_probability = -0.1},
-                                 1),
-               "");
-  EXPECT_DEATH(
-      LinkFaultInjector(LinkFaultPlan{.jitter_min = 0.5, .jitter_max = 0.1},
-                        1),
-      "");
+  LinkFaultPlan bad_drop;
+  bad_drop.drop_probability = 1.5;
+  EXPECT_DEATH(LinkFaultInjector(bad_drop, 1), "");
+  LinkFaultPlan bad_duplicate;
+  bad_duplicate.duplicate_probability = -0.1;
+  EXPECT_DEATH(LinkFaultInjector(bad_duplicate, 1), "");
+  LinkFaultPlan bad_jitter;
+  bad_jitter.jitter_min = 0.5;
+  bad_jitter.jitter_max = 0.1;
+  EXPECT_DEATH(LinkFaultInjector(bad_jitter, 1), "");
   LinkFaultPlan bad_window;
   bad_window.partitions.push_back(PartitionWindow{2.0, 1.0, {0}});
   EXPECT_DEATH(LinkFaultInjector(bad_window, 1), "");
@@ -139,7 +140,9 @@ TEST(LinkSendTest, WithoutInjectorSendMatchesTransferTiming) {
 TEST(LinkSendTest, DroppedMessagePaysLatencyButNoBandwidth) {
   Simulation sim;
   Link link(sim, "l", Bandwidth{100.0}, 0.5);
-  LinkFaultInjector inj(LinkFaultPlan{.drop_probability = 1.0}, 1);
+  LinkFaultPlan plan;
+  plan.drop_probability = 1.0;
+  LinkFaultInjector inj(plan, 1);
   link.set_fault_injector(&inj);
   std::vector<double> t;
   std::vector<LinkVerdict> verdicts;
@@ -154,7 +157,9 @@ TEST(LinkSendTest, DroppedMessagePaysLatencyButNoBandwidth) {
 TEST(LinkSendTest, DuplicatedMessagePaysBandwidthTwice) {
   Simulation sim;
   Link link(sim, "l", Bandwidth{100.0}, 0.0);
-  LinkFaultInjector inj(LinkFaultPlan{.duplicate_probability = 1.0}, 1);
+  LinkFaultPlan plan;
+  plan.duplicate_probability = 1.0;
+  LinkFaultInjector inj(plan, 1);
   link.set_fault_injector(&inj);
   std::vector<double> t;
   std::vector<LinkVerdict> verdicts;

@@ -163,7 +163,12 @@ TEST(MailboxTest, RecvForDeliveryBeatsTimeout) {
   std::vector<std::pair<double, std::optional<int>>> log;
   timed_consumer(sim, box, 5.0, log);
   sim.schedule(1.0, [&] { box.send(7); });
-  sim.run();  // the stale timeout event at t=5 must be a harmless no-op
+  // The send withdraws the timeout event: nothing is left pending, and the
+  // clock ends at the delivery, not at the superseded deadline t=5.
+  sim.run_until(1.0);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.run(), 1.0);
+  EXPECT_EQ(sim.executed_events(), 2u);  // the send and the resume
   ASSERT_EQ(log.size(), 1u);
   EXPECT_DOUBLE_EQ(log[0].first, 1.0);
   ASSERT_TRUE(log[0].second.has_value());

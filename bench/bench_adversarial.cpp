@@ -30,38 +30,44 @@
 
 namespace {
 
-std::string scenario_dir() {
+struct ScenarioDir {
+  std::string path;  // where to load the corpus from
+  std::string name;  // how the output and the report name it
+};
+
+ScenarioDir scenario_dir() {
   if (const char* env = std::getenv("QADIST_SCENARIOS_DIR");
       env != nullptr && *env != '\0') {
-    return env;
+    return {env, env};
   }
-  // Default: results/scenarios relative to the working directory, with a
-  // parent-directory fallback so running from build/ also finds the
-  // committed corpus.
-  const std::string local = "results/scenarios";
-  if (std::filesystem::exists(local)) return local;
-  const std::string parent = "../results/scenarios";
-  if (std::filesystem::exists(parent)) return parent;
-  return local;
+  // Default: the committed corpus, found from the checkout root or from
+  // one level below it (build/). Either way it is named by its
+  // repo-relative path, so the output does not depend on the working
+  // directory.
+  const std::string committed = "results/scenarios";
+  const std::string parent = "../" + committed;
+  if (!std::filesystem::exists(committed) && std::filesystem::exists(parent)) {
+    return {parent, committed};
+  }
+  return {committed, committed};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace qadist;
-  const bench::BenchCli cli = bench::BenchCli::parse(argc, argv);
-  (void)cli;  // corpus replay has no size knobs: the scenarios ARE the spec
+  [[maybe_unused]] const auto cli = bench::BenchCli::parse(argc, argv);
 
-  const std::string dir = scenario_dir();
+  const ScenarioDir dir = scenario_dir();
   const std::vector<fuzz::LoadedScenario> corpus =
-      fuzz::load_scenario_dir(dir);
+      fuzz::load_scenario_dir(dir.path);
   std::printf("adversarial corpus: %zu scenario(s) from %s\n", corpus.size(),
-              dir.c_str());
+              dir.name.c_str());
   if (corpus.size() < 3) {
     std::fprintf(stderr,
                  "FAIL: expected the committed corpus (>= 3 scenarios) under "
                  "%s — found %zu\n",
-                 dir.c_str(), corpus.size());
+                 dir.path.c_str(), corpus.size());
     return 1;
   }
 
@@ -69,7 +75,7 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report("adversarial");
   report.config("scenarios", static_cast<std::int64_t>(corpus.size()));
-  report.config("dir", dir);
+  report.config("dir", dir.name);
 
   int failures = 0;
   const auto fail = [&failures](const std::string& scenario,

@@ -47,16 +47,16 @@ struct RunOutput {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
   using namespace qadist;
   const auto& world = bench::bench_world();
-  const std::size_t nodes = cli.nodes_or(cli.smoke ? 4 : 8);
-  const std::uint64_t seed = cli.seed_or(7);
-  const std::size_t high_count = cli.smoke ? 4 * nodes : 8 * nodes;
-  const std::size_t low_count = cli.smoke ? 6 : 16;
+  const std::size_t nodes = 8;
+  const std::uint64_t seed = 7;
+  const std::size_t high_count = 8 * nodes;
+  const std::size_t low_count = 16;
   // Aim for windows holding a handful of completions each, so per-window
   // quantiles and drift verdicts rest on more than one sample.
-  const double windows_target = cli.smoke ? 4.0 : 8.0;
+  const double windows_target = 8.0;
 
   const char* results_env = std::getenv("QADIST_RESULTS_DIR");
   const std::string results_dir =

@@ -59,23 +59,18 @@ cluster::SystemConfig uncached_config(std::size_t nodes, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
   const auto& world = bench::bench_world();
-  const std::uint64_t seed = cli.seed_or(1000);
+  const std::uint64_t seed = 1000;
 
-  // --smoke shrinks every axis to one tiny configuration (CI).
-  const std::vector<std::size_t> node_counts =
-      cli.nodes.has_value() ? std::vector<std::size_t>{*cli.nodes}
-      : cli.smoke           ? std::vector<std::size_t>{2}
-                            : std::vector<std::size_t>{4, 8, 12};
-  const std::size_t distinct = cli.smoke ? 8 : 30;
+  const std::vector<std::size_t> node_counts{4, 8, 12};
+  const std::size_t distinct = 30;
   const double overload_factor = 4.0;
 
   bench::BenchReport report("cache_scaling");
   report.config("seed", static_cast<std::int64_t>(seed));
   report.config("distinct_questions", static_cast<std::int64_t>(distinct));
   report.config("overload_factor", overload_factor);
-  report.config("smoke", cli.smoke ? std::int64_t{1} : std::int64_t{0});
 
   // ---- 1. Hit rate vs Zipf skew vs cluster size (warm caches) ----------
   const double skews[] = {0.0, 0.5, 1.0};

@@ -74,22 +74,21 @@ ServiceCalibration calibrate_service(const bench::BenchWorld& world,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
   const auto& world = bench::bench_world();
-  const std::uint64_t seed = cli.seed_or(2000);
+  const std::uint64_t seed = 2000;
 
   bench::BenchReport report("capacity_planning");
   report.config("seed", static_cast<std::int64_t>(seed));
-  report.config("smoke", cli.smoke ? std::int64_t{1} : std::int64_t{0});
 
   // ---- 1. Admission control under sustained 2x overload ----------------
-  const std::size_t overload_nodes = cli.nodes_or(cli.smoke ? 2 : 12);
+  const std::size_t overload_nodes = 12;
   const double service = world.mean_service_seconds();
   {
     ArrivalProcessConfig stream;
     stream.shape = ArrivalShape::kPoisson;
     stream.rate_qps = 2.0 * static_cast<double>(overload_nodes) / service;
-    stream.count = cli.smoke ? 24 : 12 * overload_nodes;
+    stream.count = 12 * overload_nodes;
     stream.seed = seed;
 
     struct Row {
@@ -142,10 +141,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- 2. Planner prediction vs simulated minimum ----------------------
-  const std::size_t cal_count = cli.smoke ? 16 : 64;
+  const std::size_t cal_count = 64;
   const auto cal = calibrate_service(world, seed, cal_count);
   const double slo = 2.5 * cal.p95;
-  const std::size_t max_nodes = cli.smoke ? 6 : 12;
+  const std::size_t max_nodes = 12;
   report.config("calibrated_mean_service_seconds", cal.mean);
   report.config("calibrated_service_p95_seconds", cal.p95);
   report.config("slo_p95_seconds", slo);
@@ -159,22 +158,19 @@ int main(int argc, char** argv) {
     ArrivalProcessConfig poisson;
     poisson.shape = ArrivalShape::kPoisson;
     shapes.push_back({"poisson", poisson});
-    if (!cli.smoke) {
-      ArrivalProcessConfig mmpp;
-      mmpp.shape = ArrivalShape::kMmpp;
-      mmpp.burst_rate_multiplier = 3.0;
-      mmpp.mean_burst_seconds = 8.0 * cal.mean;
-      mmpp.mean_calm_seconds = 24.0 * cal.mean;
-      shapes.push_back({"mmpp", mmpp});
-      ArrivalProcessConfig diurnal;
-      diurnal.shape = ArrivalShape::kDiurnal;
-      diurnal.diurnal_amplitude = 0.6;
-      diurnal.diurnal_period = 40.0 * cal.mean;
-      shapes.push_back({"diurnal", diurnal});
-    }
+    ArrivalProcessConfig mmpp;
+    mmpp.shape = ArrivalShape::kMmpp;
+    mmpp.burst_rate_multiplier = 3.0;
+    mmpp.mean_burst_seconds = 8.0 * cal.mean;
+    mmpp.mean_calm_seconds = 24.0 * cal.mean;
+    shapes.push_back({"mmpp", mmpp});
+    ArrivalProcessConfig diurnal;
+    diurnal.shape = ArrivalShape::kDiurnal;
+    diurnal.diurnal_amplitude = 0.6;
+    diurnal.diurnal_period = 40.0 * cal.mean;
+    shapes.push_back({"diurnal", diurnal});
   }
-  const std::vector<double> erlangs =
-      cli.smoke ? std::vector<double>{1.2} : std::vector<double>{1.2, 2.4};
+  const std::vector<double> erlangs{1.2, 2.4};
 
   TextTable sweep({"shape", "erlangs", "planned N", "simulated N", "delta",
                    "sim p95 @ N (s)"});
@@ -183,7 +179,7 @@ int main(int argc, char** argv) {
     for (const double a : erlangs) {
       ArrivalProcessConfig arrivals = shape.config;
       arrivals.rate_qps = a / cal.mean;
-      arrivals.count = cli.smoke ? 24 : 96;
+      arrivals.count = 96;
       arrivals.seed = seed;
 
       model::CapacityPlanParams params;

@@ -28,19 +28,16 @@
 #include "support/bench_world.hpp"
 
 int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
   using namespace qadist;
   using cluster::Policy;
   using parallel::Strategy;
   const auto& world = bench::bench_world();
-  const std::size_t nodes = cli.nodes_or(cli.smoke ? 4 : 12);
-  const std::uint64_t seed = cli.seed_or(7);
-  const Policy policy = cli.policy_or(Policy::kDqa);
+  const std::size_t nodes = 12;
+  const std::uint64_t seed = 7;
+  const Policy policy = Policy::kDqa;
 
-  const std::vector<double> drop_rates =
-      cli.drop_rate.has_value() ? std::vector<double>{*cli.drop_rate}
-      : cli.smoke               ? std::vector<double>{0.0, 0.05}
-                  : std::vector<double>{0.0, 0.01, 0.02, 0.05, 0.10};
+  const std::vector<double> drop_rates{0.0, 0.01, 0.02, 0.05, 0.10};
 
   const auto run = [&](Strategy strategy, double drop_rate,
                        double deadline) {

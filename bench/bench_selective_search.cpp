@@ -56,14 +56,14 @@ struct SelectiveWorld {
   std::size_t num_shards = 0;
 };
 
-SelectiveWorld build_world(bool smoke) {
+SelectiveWorld build_world() {
   SelectiveWorld out;
-  out.num_shards = smoke ? 32 : 128;
+  out.num_shards = 128;
 
   corpus::CorpusConfig cc;
   cc.seed = 4242;
-  cc.num_documents = smoke ? 600 : 1500;
-  cc.vocabulary_size = smoke ? 8000 : 12000;
+  cc.num_documents = 1500;
+  cc.vocabulary_size = 12000;
   cc.entities_per_type = 250;
   out.world.corpus = corpus::generate_corpus(cc);
 
@@ -76,8 +76,7 @@ SelectiveWorld build_world(bool smoke) {
   out.world.engine = std::make_unique<qa::Engine>(out.world.corpus, ec);
 
   out.world.questions =
-      corpus::generate_questions(out.world.corpus, smoke ? 24 : 64,
-                                 /*seed=*/77);
+      corpus::generate_questions(out.world.corpus, 64, /*seed=*/77);
   out.world.cost =
       std::make_unique<cluster::CostModel>(cluster::CostModel::calibrate(
           *out.world.engine,
@@ -156,26 +155,19 @@ std::string top_answer(const qa::Engine& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = qadist::bench::BenchCli::parse(argc, argv);
-  const std::uint64_t seed = cli.seed_or(2000);
-  const auto sw = build_world(cli.smoke);
+  [[maybe_unused]] const auto cli = qadist::bench::BenchCli::parse(argc, argv);
+  const std::uint64_t seed = 2000;
+  const auto sw = build_world();
   const std::size_t num_shards = sw.num_shards;
 
-  const std::vector<std::size_t> node_counts =
-      cli.nodes.has_value() ? std::vector<std::size_t>{*cli.nodes}
-      : cli.smoke           ? std::vector<std::size_t>{64}
-                            : std::vector<std::size_t>{12, 64, 128, 256};
-  const std::vector<double> selectivities =
-      cli.selectivity.has_value() ? std::vector<double>{*cli.selectivity}
-      : cli.smoke                 ? std::vector<double>{1.0, 0.25}
-                                  : std::vector<double>{1.0, 0.5, 0.25};
+  const std::vector<std::size_t> node_counts{12, 64, 128, 256};
+  const std::vector<double> selectivities{1.0, 0.5, 0.25};
   const double aggressive =
       *std::min_element(selectivities.begin(), selectivities.end());
 
   bench::BenchReport report("selective_search");
   report.config("seed", static_cast<std::int64_t>(seed));
   report.config("num_shards", static_cast<std::int64_t>(num_shards));
-  report.config("smoke", cli.smoke ? std::int64_t{1} : std::int64_t{0});
 
   // ---- 2 (computed first: it is node-independent). Answer divergence --
   // For each selectivity, the fraction of questions whose top pipeline
@@ -228,14 +220,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- 1. Throughput across nodes x selectivity, flat vs brokered -----
-  bool bar_checked = false;
   bool bar_passed = true;
   TextTable table({"", "config", "throughput q/min", "latency mean s",
                    "latency p95 s", "vs flat", "degraded"});
   for (const std::size_t nodes : node_counts) {
-    const std::size_t count =
-        std::min<std::size_t>(8 * nodes, cli.smoke ? 96 : 384);
-    const std::size_t brokers = cli.brokers_or(default_brokers(nodes));
+    const std::size_t count = std::min<std::size_t>(8 * nodes, 384);
+    const std::size_t brokers = default_brokers(nodes);
 
     const auto flat =
         run_sweep_point(sw, base_config(sw, nodes, seed), seed, count);
@@ -276,7 +266,6 @@ int main(int argc, char** argv) {
                     m.non_degraded_fraction());
 
       if (nodes >= 64 && selectivity == aggressive) {
-        bar_checked = true;
         const std::size_t div_index = static_cast<std::size_t>(
             std::find(selectivities.begin(), selectivities.end(),
                       aggressive) -
@@ -296,12 +285,10 @@ int main(int argc, char** argv) {
       "Selective search + broker tier — throughput (%zu shards, R=2, 4x "
       "overload, DQA)\n%s\n",
       num_shards, table.render().c_str());
-  if (bar_checked) {
-    report.metric("acceptance_bar_passed", {}, bar_passed ? 1.0 : 0.0);
-  }
+  report.metric("acceptance_bar_passed", {}, bar_passed ? 1.0 : 0.0);
 
   report.write();
-  if (bar_checked && !bar_passed) {
+  if (!bar_passed) {
     std::fprintf(stderr,
                  "bench_selective_search: acceptance bar FAILED (see "
                  "above)\n");

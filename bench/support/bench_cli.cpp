@@ -9,63 +9,11 @@ namespace qadist::bench {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: [--nodes N] [--seed S] [--policy NAME] [--strategy NAME]\n"
-    "       [--drop-rate P] [--brokers B] [--selectivity F]\n"
-    "       [--out DIR] [--smoke] [--help]\n"
+    "usage: [--out DIR] [--help]\n"
     "\n"
-    "  --nodes N        override the node count\n"
-    "  --seed S         override the workload seed\n"
-    "  --policy NAME    DNS | INTER | DQA | TWO-CHOICE\n"
-    "  --strategy NAME  SEND | ISEND | RECV\n"
-    "  --drop-rate P    per-message drop probability in [0,1]\n"
-    "  --brokers B      broker/mediator tier size (0 = flat star)\n"
-    "  --selectivity F  fraction of shards searched per question, (0,1]\n"
-    "  --out DIR        results directory (default: results)\n"
-    "  --smoke          tiny-config smoke run (CI)\n";
+    "  --out DIR        results directory (default: results)\n";
 
-/// Splits "--flag=value" / "--flag value" uniformly: on a match, `value`
-/// holds the attached or following argument and `index` is advanced past
-/// whatever was consumed. A flag that needs a value but has none is an
-/// error (signalled by returning true with `value` unset).
-bool match_value_flag(std::span<const char* const> args, std::size_t& index,
-                      std::string_view flag,
-                      std::optional<std::string_view>& value) {
-  const std::string_view arg = args[index];
-  if (arg == flag) {
-    if (index + 1 < args.size()) {
-      value = args[++index];
-    }
-    return true;
-  }
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
-bool parse_count(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-bool parse_probability(std::string_view text, double& out) {
-  if (text.empty()) return false;
-  const std::string copy(text);  // strtod needs a terminator
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return false;
-  if (!(value >= 0.0 && value <= 1.0)) return false;  // rejects NaN too
-  out = value;
-  return true;
-}
+constexpr std::string_view kOutAttached = "--out=";
 
 }  // namespace
 
@@ -78,82 +26,21 @@ std::optional<BenchCli> BenchCli::try_parse(std::span<const char* const> args,
   BenchCli cli;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string_view arg = args[i];
-    std::optional<std::string_view> value;
     if (arg == "--help" || arg == "-h") {
       return fail("help");
     }
-    if (arg == "--smoke") {
-      cli.smoke = true;
-      continue;
+    std::optional<std::string_view> dir;
+    if (arg == "--out") {
+      if (i + 1 < args.size()) dir = args[++i];
+    } else if (arg.starts_with(kOutAttached)) {
+      dir = arg.substr(kOutAttached.size());
+    } else {
+      return fail("unknown argument '" + std::string(arg) + "'");
     }
-    if (match_value_flag(args, i, "--nodes", value)) {
-      std::uint64_t n = 0;
-      if (!value.has_value() || !parse_count(*value, n) || n == 0) {
-        return fail("--nodes expects a positive integer");
-      }
-      cli.nodes = static_cast<std::size_t>(n);
-      continue;
+    if (!dir.has_value() || dir->empty()) {
+      return fail("--out expects a directory");
     }
-    if (match_value_flag(args, i, "--seed", value)) {
-      std::uint64_t s = 0;
-      if (!value.has_value() || !parse_count(*value, s)) {
-        return fail("--seed expects a non-negative integer");
-      }
-      cli.seed = s;
-      continue;
-    }
-    if (match_value_flag(args, i, "--policy", value)) {
-      if (!value.has_value()) return fail("--policy expects a name");
-      const auto policy = cluster::parse_policy(*value);
-      if (!policy.has_value()) {
-        return fail("unknown policy '" + std::string(*value) +
-                    "' (DNS | INTER | DQA | TWO-CHOICE)");
-      }
-      cli.policy = *policy;
-      continue;
-    }
-    if (match_value_flag(args, i, "--strategy", value)) {
-      if (!value.has_value()) return fail("--strategy expects a name");
-      const auto strategy = cluster::parse_strategy(*value);
-      if (!strategy.has_value()) {
-        return fail("unknown strategy '" + std::string(*value) +
-                    "' (SEND | ISEND | RECV)");
-      }
-      cli.strategy = *strategy;
-      continue;
-    }
-    if (match_value_flag(args, i, "--drop-rate", value)) {
-      double p = 0.0;
-      if (!value.has_value() || !parse_probability(*value, p)) {
-        return fail("--drop-rate expects a probability in [0,1]");
-      }
-      cli.drop_rate = p;
-      continue;
-    }
-    if (match_value_flag(args, i, "--brokers", value)) {
-      std::uint64_t b = 0;
-      if (!value.has_value() || !parse_count(*value, b)) {
-        return fail("--brokers expects a non-negative integer");
-      }
-      cli.brokers = static_cast<std::size_t>(b);
-      continue;
-    }
-    if (match_value_flag(args, i, "--selectivity", value)) {
-      double f = 0.0;
-      if (!value.has_value() || !parse_probability(*value, f) || f == 0.0) {
-        return fail("--selectivity expects a fraction in (0,1]");
-      }
-      cli.selectivity = f;
-      continue;
-    }
-    if (match_value_flag(args, i, "--out", value)) {
-      if (!value.has_value() || value->empty()) {
-        return fail("--out expects a directory");
-      }
-      cli.out = std::string(*value);
-      continue;
-    }
-    return fail("unknown argument '" + std::string(arg) + "'");
+    cli.out = std::string(*dir);
   }
   return cli;
 }

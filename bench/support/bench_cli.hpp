@@ -1,70 +1,24 @@
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 
-#include "cluster/names.hpp"
-#include "parallel/partition.hpp"
-
 namespace qadist::bench {
 
-/// The shared command line of every bench binary. One flag grammar across
-/// the suite (no per-bench argv parsing):
+/// The shared command line of every bench binary. A bench runs one
+/// configuration, the published experiment, so the only flags are:
 ///
-///   --nodes N        override the node count (benches with one pool size)
-///   --seed S         override the workload seed
-///   --policy NAME    DNS | INTER | DQA | TWO-CHOICE (case-insensitive)
-///   --strategy NAME  SEND | ISEND | RECV (case-insensitive)
-///   --drop-rate P    per-message drop probability in [0,1] (fault benches)
-///   --brokers B      broker/mediator tier size (0 = flat star)
-///   --selectivity F  fraction of shards searched per question, (0,1]
 ///   --out DIR        results directory (sets QADIST_RESULTS_DIR)
-///   --smoke          tiny-config smoke run (CI): benches that honor it
-///                    shrink the experiment, others ignore it
 ///   --help           usage and exit
 ///
-/// Values may be attached with '=' ("--nodes=8") or follow as the next
-/// argument ("--nodes 8"). Every flag is optional: a bench passes its own
-/// defaults to the *_or accessors, so running with no arguments reproduces
-/// the published experiment exactly.
+/// The directory may be attached with '=' ("--out=dir") or follow as the
+/// next argument ("--out dir").
 struct BenchCli {
-  std::optional<std::size_t> nodes;
-  std::optional<std::uint64_t> seed;
-  std::optional<cluster::Policy> policy;
-  std::optional<parallel::Strategy> strategy;
-  std::optional<double> drop_rate;
-  std::optional<std::size_t> brokers;
-  std::optional<double> selectivity;
   std::optional<std::string> out;
-  bool smoke = false;
-
-  [[nodiscard]] std::size_t nodes_or(std::size_t fallback) const {
-    return nodes.value_or(fallback);
-  }
-  [[nodiscard]] std::uint64_t seed_or(std::uint64_t fallback) const {
-    return seed.value_or(fallback);
-  }
-  [[nodiscard]] cluster::Policy policy_or(cluster::Policy fallback) const {
-    return policy.value_or(fallback);
-  }
-  [[nodiscard]] parallel::Strategy strategy_or(
-      parallel::Strategy fallback) const {
-    return strategy.value_or(fallback);
-  }
-  [[nodiscard]] double drop_rate_or(double fallback) const {
-    return drop_rate.value_or(fallback);
-  }
-  [[nodiscard]] std::size_t brokers_or(std::size_t fallback) const {
-    return brokers.value_or(fallback);
-  }
-  [[nodiscard]] double selectivity_or(double fallback) const {
-    return selectivity.value_or(fallback);
-  }
 
   /// Pure parsing core (no exit, no environment writes): nullopt plus a
-  /// message in `error` on a bad flag, value, or name. `args` excludes the
+  /// message in `error` on a bad or unknown flag. `args` excludes the
   /// program name.
   [[nodiscard]] static std::optional<BenchCli> try_parse(
       std::span<const char* const> args, std::string* error);

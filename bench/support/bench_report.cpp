@@ -98,10 +98,12 @@ std::string BenchReport::to_json() const {
       os << std::get<std::int64_t>(v);
     }
   }
+  // One metric per line, so a line diff of two reports shows each moved
+  // metric with its labels and both values.
   os << "},\"metrics\":[";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     const Metric& m = metrics_[i];
-    if (i > 0) os << ',';
+    os << (i > 0 ? ",\n" : "\n");
     os << "{\"name\":";
     obs::json_string(os, m.name);
     os << ",\"labels\":{";
@@ -126,7 +128,7 @@ std::string BenchReport::to_json() const {
     }
     os << '}';
   }
-  os << "]}\n";
+  os << "\n]}\n";
   return os.str();
 }
 

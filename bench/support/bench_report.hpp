@@ -14,17 +14,13 @@ namespace qadist::bench {
 /// builds one report, adds its configuration and measured metrics, and
 /// writes `results/BENCH_<name>.json` next to the human-readable
 /// `bench_<name>.txt` that scripts/reproduce.sh captures (override the
-/// directory with QADIST_RESULTS_DIR). Schema "qadist-bench-v1":
+/// directory with QADIST_RESULTS_DIR). Schema "qadist-bench-v1", with the
+/// header on the first line and then one metric per line:
 ///
-///   {"schema": "qadist-bench-v1",
-///    "bench": "table5_throughput",
-///    "config": {"seeds": 10, "protocol": "high-load 2x"},
-///    "metrics": [
-///      {"name": "throughput_qpm",
-///       "labels": {"nodes": "4", "policy": "DNS"},
-///       "count": 10, "mean": 2.61, "p50": 2.60, "p95": 2.70, "max": 2.71,
-///       "paper_expected": 2.64},
-///      ...]}
+///   {"schema":"qadist-bench-v1","bench":"table5_throughput","config":{"seeds":10,"protocol":"high-load 2x"},"metrics":[
+///   {"name":"throughput_qpm","labels":{"nodes":"4","policy":"DNS"},"count":10,"mean":2.61,"p50":2.6,"p95":2.7,"max":2.71,"paper_expected":2.64},
+///   ...
+///   ]}
 ///
 /// Every metric carries the same statistics block; a scalar measurement is
 /// a distribution of one (mean == p50 == p95 == max). `paper_expected` is

@@ -16,9 +16,8 @@ namespace {
 /// Console reporting plus capture. Only plain iteration runs are recorded
 /// (aggregates and errored runs are skipped); times are normalized to
 /// seconds per iteration regardless of the benchmark's display unit. The
-/// metric prefix "micro_" marks these as wall-clock host measurements —
-/// the regression gate holds them to a far looser tolerance than the
-/// deterministic simulated metrics.
+/// metric prefix "micro_" marks these as wall-clock host measurements,
+/// which, unlike the simulated metrics, move from run to run.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   // Tabular counters, no ANSI colour: the console output is committed as

@@ -1,30 +1,8 @@
 #include "cluster/names.hpp"
 
-#include <string>
-
 #include "common/check.hpp"
 
 namespace qadist::cluster {
-
-namespace {
-
-/// Case-folds and maps '_' to '-' so flag spellings compare canonically.
-std::string canon(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    if (c == '_') {
-      out += '-';
-    } else if (c >= 'a' && c <= 'z') {
-      out += static_cast<char>(c - 'a' + 'A');
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string_view to_string(Policy policy) {
   switch (policy) {
@@ -38,25 +16,6 @@ std::string_view to_string(Policy policy) {
       return "TWO-CHOICE";
   }
   QADIST_UNREACHABLE("bad Policy");
-}
-
-std::optional<Policy> parse_policy(std::string_view name) {
-  const std::string c = canon(name);
-  for (const Policy p : {Policy::kDns, Policy::kInter, Policy::kDqa,
-                         Policy::kTwoChoice}) {
-    if (c == to_string(p)) return p;
-  }
-  return std::nullopt;
-}
-
-std::optional<parallel::Strategy> parse_strategy(std::string_view name) {
-  const std::string c = canon(name);
-  for (const parallel::Strategy s :
-       {parallel::Strategy::kSend, parallel::Strategy::kIsend,
-        parallel::Strategy::kRecv}) {
-    if (c == parallel::to_string(s)) return s;
-  }
-  return std::nullopt;
 }
 
 }  // namespace qadist::cluster

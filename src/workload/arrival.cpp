@@ -191,8 +191,8 @@ double peak_to_mean(const ArrivalProcessConfig& config) {
 double interarrival_cv2(const ArrivalProcessConfig& config) {
   if (config.shape == ArrivalShape::kPoisson) return 1.0;
   // Measured on a deterministic probe stream long enough that the estimate
-  // is stable yet independent of the experiment's own count (smoke runs
-  // use tiny counts; the planner should not see a different burstiness).
+  // is stable yet independent of the experiment's own count (a short
+  // stream should not show the planner a different burstiness).
   ArrivalProcessConfig probe = config;
   probe.count = 4096;
   const auto times = arrival_times(probe);

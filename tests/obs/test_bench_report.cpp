@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "support/mini_json.hpp"
@@ -68,6 +69,36 @@ TEST(BenchReport, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(running.at("mean").number, 15.0);
   EXPECT_DOUBLE_EQ(running.at("p50").number, 15.0);  // RunningStats: mean
   EXPECT_DOUBLE_EQ(running.at("max").number, 20.0);
+}
+
+TEST(BenchReport, WritesOneMetricPerLine) {
+  BenchReport report("lines");
+  report.config("seed", std::int64_t{7});
+  report.metric("makespan_seconds", {{"strategy", "SEND"}}, 1.5);
+  report.metric("makespan_seconds", {{"strategy", "RECV"}}, 2.5, 3.0);
+  const std::string json = report.to_json();
+
+  std::vector<std::string> lines;
+  std::istringstream in(json);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u) << json;
+  EXPECT_NE(lines[0].find("\"config\":{\"seed\":7}"), std::string::npos);
+  EXPECT_EQ(lines[1],
+            "{\"name\":\"makespan_seconds\",\"labels\":{\"strategy\":"
+            "\"SEND\"},\"count\":1,\"mean\":1.5,\"p50\":1.5,\"p95\":1.5,"
+            "\"max\":1.5},");
+  EXPECT_NE(lines[2].find("\"RECV\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"paper_expected\":3"), std::string::npos);
+  EXPECT_EQ(lines[3], "]}");
+
+  const auto doc = parse_json(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  ASSERT_EQ(doc->at("metrics").items().size(), 2u);
+  EXPECT_DOUBLE_EQ(doc->at("metrics").items()[1].at("mean").number, 2.5);
+
+  const auto empty = parse_json(BenchReport("empty").to_json());
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->at("metrics").items().empty());
 }
 
 TEST(BenchReport, OutputPathHonorsResultsDirOverride) {

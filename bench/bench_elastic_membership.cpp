@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   // Per-node work: the leavers must have served visibly less.
   TextTable nodes({"Node", "stable CPU-s", "elastic CPU-s"});
   for (std::size_t n = 0; n < kNodes; ++n) {
-    nodes.add_row({"N" + std::to_string(n + 1),
+    nodes.add_row({std::string("N").append(std::to_string(n + 1)),
                    cell(stable.metrics.node_cpu_work[n], 0),
                    cell(elastic.metrics.node_cpu_work[n], 0)});
   }

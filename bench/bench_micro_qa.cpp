@@ -24,28 +24,35 @@ void BM_QuestionProcessing(benchmark::State& state) {
 }
 BENCHMARK(BM_QuestionProcessing);
 
-const std::vector<qa::ScoredParagraph>& sample_paragraphs() {
-  static const std::vector<qa::ScoredParagraph> paragraphs = [] {
+/// The first bench-world question and its accepted paragraphs, scored
+/// against that question (AP reads the keyword hits PS stored in them).
+struct Sample {
+  qa::ProcessedQuestion question;
+  std::vector<qa::ScoredParagraph> paragraphs;
+};
+
+const Sample& sample() {
+  static const Sample sample = [] {
     const auto& world = bench::bench_world();
     const auto& q = world.questions.front();
-    auto pq = world.engine->process_question(q.id, q.text);
+    Sample s;
+    s.question = world.engine->process_question(q.id, q.text);
     std::vector<qa::ScoredParagraph> scored;
     for (std::size_t sub = 0; sub < world.engine->subcollection_count();
          ++sub) {
-      for (auto& p : world.engine->retrieve(sub, pq)) {
-        scored.push_back(world.engine->score(pq, std::move(p)));
+      for (auto& p : world.engine->retrieve(sub, s.question)) {
+        scored.push_back(world.engine->score(s.question, std::move(p)));
       }
     }
-    return world.engine->order(std::move(scored));
+    s.paragraphs = world.engine->order(std::move(scored));
+    return s;
   }();
-  return paragraphs;
+  return sample;
 }
 
 void BM_ParagraphScoring(benchmark::State& state) {
   const auto& world = bench::bench_world();
-  const auto& q = world.questions.front();
-  const auto pq = world.engine->process_question(q.id, q.text);
-  const auto& paragraphs = sample_paragraphs();
+  const auto& [pq, paragraphs] = sample();
   std::size_t i = 0;
   for (auto _ : state) {
     auto copy = paragraphs[i++ % paragraphs.size()].paragraph;
@@ -56,9 +63,7 @@ BENCHMARK(BM_ParagraphScoring);
 
 void BM_AnswerProcessingPerParagraph(benchmark::State& state) {
   const auto& world = bench::bench_world();
-  const auto& q = world.questions.front();
-  const auto pq = world.engine->process_question(q.id, q.text);
-  const auto& paragraphs = sample_paragraphs();
+  const auto& [pq, paragraphs] = sample();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(world.engine->answer_paragraph(
@@ -72,7 +77,7 @@ BENCHMARK(BM_AnswerProcessingPerParagraph);
 void BM_EntityRecognition(benchmark::State& state) {
   const auto& world = bench::bench_world();
   qa::EntityRecognizer ner(world.corpus.gazetteer, world.engine->analyzer());
-  const auto& paragraphs = sample_paragraphs();
+  const auto& paragraphs = sample().paragraphs;
   std::size_t i = 0;
   std::size_t tokens = 0;
   for (auto _ : state) {

@@ -9,9 +9,13 @@
 # The check also fails when a bench or example exits non-zero, stops
 # writing a committed artifact, or writes one that is not committed.
 #
+# results/INDEX.json is rebuilt from the committed reports and scenarios
+# (scripts/index_results.py), so a report missing from the index, or an
+# entry whose metrics moved, fails the diff too.
+#
 # Left out: the host-timed artifacts (table 2, host partitioning, the
-# micro benches), results/INDEX.json, results/tests.txt and the scenario
-# corpus, which bench_adversarial reads.
+# micro benches), results/tests.txt and the scenario corpus, which
+# bench_adversarial reads.
 #
 # Usage: scripts/check_results.sh [build-dir]
 # The build directory defaults to build/ and, like the fresh tree it
@@ -66,8 +70,10 @@ for path in sys.argv[1:]:
     with open(path) as f:
         json.load(f)
 ' "$OUT"/*.json || status=1
+python3 scripts/index_results.py results "$OUT/INDEX.json" > /dev/null ||
+  status=1
 
-diff -ru -x INDEX.json -x tests.txt -x scenarios -x '*micro_*' \
+diff -ru -x tests.txt -x scenarios -x '*micro_*' \
   -x '*host_partitioning*' -x '*table2_module_breakdown*' \
   results "$OUT" || status=1
 exit "$status"

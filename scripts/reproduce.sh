@@ -76,78 +76,11 @@ for j in results/BENCH_*.json; do
 done
 echo "$json_count bench JSON reports in results/."
 
-# One index over all structured reports: results/INDEX.json lists every
-# BENCH_*.json with its bench name, schema, and metric names (and, for the
-# micro reports, their benchmark names), plus the pinned adversarial
-# scenario corpus (results/scenarios/*.json, replayed by
-# bench_adversarial), so tooling can discover the exhibits without
-# globbing.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'PY'
-import datetime
-import glob
-import json
-import os
-
-benches = []
-for path in sorted(glob.glob("results/BENCH_*.json")):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"WARNING: skipping {path}: {err}")
-        continue
-    metrics = sorted({m.get("name", "") for m in doc.get("metrics", [])})
-    mtime = os.path.getmtime(path)
-    entry = {
-        "file": path,
-        "bench": doc.get("bench", ""),
-        "schema": doc.get("schema", ""),
-        "metrics": metrics,
-    }
-    # Micro reports label every metric with its google-benchmark name.
-    benchmarks = sorted({m["labels"]["benchmark"]
-                         for m in doc.get("metrics", [])
-                         if "benchmark" in m.get("labels", {})})
-    if benchmarks:
-        entry["benchmarks"] = benchmarks
-    entry["mtime"] = datetime.datetime.fromtimestamp(
-        mtime, datetime.timezone.utc).isoformat()
-    benches.append(entry)
-
-scenarios = []
-for path in sorted(glob.glob("results/scenarios/*.json")):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"WARNING: skipping {path}: {err}")
-        continue
-    pin = doc.get("pin", {})
-    scenarios.append({
-        "file": path,
-        "name": doc.get("name", ""),
-        "schema": doc.get("schema", ""),
-        "nodes": doc.get("nodes", 0),
-        "pinned_p99_seconds": pin.get("p99_seconds", 0.0),
-        "pinned_degraded_fraction": pin.get("degraded_fraction", 0.0),
-        "baseline_p99_seconds": pin.get("baseline_p99_seconds", 0.0),
-    })
-
-index = {
-    "schema": "qadist-bench-index-v1",
-    "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    "benches": benches,
-    "adversarial_scenarios": scenarios,
-}
-with open("results/INDEX.json", "w") as f:
-    json.dump(index, f, indent=2)
-    f.write("\n")
-print(f"results/INDEX.json indexes {len(benches)} reports and "
-      f"{len(scenarios)} pinned adversarial scenarios.")
-PY
-else
-  echo "python3 not found; skipping results/INDEX.json."
+# One index over all structured reports (results/INDEX.json), built from
+# the committed files alone; scripts/check_results.sh rebuilds it and
+# fails when the committed one differs.
+if ! python3 scripts/index_results.py results; then
+  failures+=("results/INDEX.json")
 fi
 
 if [ "${#failures[@]}" -gt 0 ]; then

@@ -92,7 +92,7 @@ QuestionPlan make_plan(const qa::Engine& engine, const CostModel& cost,
     }
     plan.ap_units.push_back(unit);
 
-    for (auto& a : answers) top.offer(std::move(a), i);
+    for (const auto& a : answers) top.offer(a, i);
   }
 
   for (auto& ranked : top.take()) {

@@ -16,7 +16,9 @@ inline constexpr std::size_t kNoUnit = static_cast<std::size_t>(-1);
 
 /// "N<k>": how trace lines name a node (1-based, as in the paper).
 [[nodiscard]] inline std::string node_name(sched::NodeId node) {
-  return "N" + std::to_string(node + 1);
+  std::string name = "N";
+  name += std::to_string(node + 1);
+  return name;
 }
 
 /// The load function a stage's placement decisions weigh (paper Eq. 5/6).

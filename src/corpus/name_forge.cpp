@@ -33,11 +33,10 @@ const char* pick(Rng& rng, const std::array<const char*, N>& options) {
   return options[rng.below(N)];
 }
 
-std::string capitalize(std::string word) {
+void capitalize(std::string& word) {
   if (!word.empty() && word[0] >= 'a' && word[0] <= 'z') {
     word[0] = static_cast<char>(word[0] - 'a' + 'A');
   }
-  return word;
 }
 
 }  // namespace
@@ -50,7 +49,8 @@ std::string NameForge::stem() {
     s += pick(rng_, kVowels);
     if (i + 1 == syllables) s += pick(rng_, kCodas);
   }
-  return capitalize(std::move(s));
+  capitalize(s);
+  return s;
 }
 
 std::string NameForge::person() { return stem() + " " + stem(); }

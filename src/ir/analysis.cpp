@@ -20,9 +20,24 @@ NormId Lexicon::find_norm(std::string_view term) const {
   return it == norm_ids_.end() ? kNoNorm : it->second;
 }
 
+void KeywordHits::push_back(KeywordHit hit) {
+  if (size_ < kInline) {
+    inline_[size_++] = hit;
+    return;
+  }
+  if (size_ == kInline) {
+    heap_.reserve(2 * kInline);
+    heap_.assign(inline_.begin(), inline_.end());
+  }
+  heap_.push_back(hit);
+  ++size_;
+}
+
 KeywordNorms Lexicon::resolve(std::span<const std::string> keywords) const {
+  static std::atomic<std::uint64_t> next_resolution{1};
   KeywordNorms out;
   out.lexicon = serial_;
+  out.resolution = next_resolution.fetch_add(1, std::memory_order_relaxed);
   out.norms.reserve(keywords.size());
   for (const auto& keyword : keywords) {
     const NormId norm = find_norm(keyword);
@@ -34,10 +49,12 @@ KeywordNorms Lexicon::resolve(std::span<const std::string> keywords) const {
 
 void Lexicon::keyword_hits(std::span<const WordToken> tokens,
                            const KeywordNorms& keywords,
-                           std::vector<KeywordHit>& hits) const {
-  QADIST_CHECK(keywords.lexicon == serial_ && serial_ != 0,
+                           KeywordHits& hits) const {
+  QADIST_CHECK(resolved(keywords),
                << "keywords not resolved against this analysis");
-  hits.clear();
+  hits.resolution_ = keywords.resolution;
+  hits.size_ = 0;
+  hits.heap_.clear();
   const auto keyword_count = static_cast<std::uint32_t>(keywords.norms.size());
   for (std::uint32_t t = 0; t < tokens.size(); ++t) {
     // A stopword's norm is never a keyword's; it fails the filter unless

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -34,9 +35,36 @@ struct KeywordHit {
 /// the norms found. O(keywords); Lexicon::keyword_hits scans paragraphs
 /// against it.
 struct KeywordNorms {
-  std::uint64_t lexicon = 0;  ///< serial of the resolving Lexicon; 0: none
-  std::vector<NormId> norms;  ///< per keyword, in question order
-  std::uint64_t filter = 0;   ///< bit (norm % 64) of every found norm
+  std::uint64_t lexicon = 0;     ///< serial of the resolving Lexicon; 0: none
+  std::uint64_t resolution = 0;  ///< serial of this resolve() call; 0: none
+  std::vector<NormId> norms;     ///< per keyword, in question order
+  std::uint64_t filter = 0;      ///< bit (norm % 64) of every found norm
+};
+
+/// The keyword hits of one paragraph, in position order, tagged with the
+/// KeywordNorms::resolution they were computed against. Up to kInline hits
+/// are held inline, so a paragraph with few hits costs no allocation; a
+/// longer list moves to the heap, and every list reads through the same
+/// view. Filled only by Lexicon::keyword_hits.
+class KeywordHits {
+ public:
+  static constexpr std::size_t kInline = 4;
+
+  [[nodiscard]] std::uint64_t resolution() const { return resolution_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::span<const KeywordHit> view() const {
+    return {size_ <= kInline ? inline_.data() : heap_.data(), size_};
+  }
+
+ private:
+  friend class Lexicon;
+
+  void push_back(KeywordHit hit);
+
+  std::uint64_t resolution_ = 0;
+  std::uint32_t size_ = 0;
+  std::array<KeywordHit, kInline> inline_;
+  std::vector<KeywordHit> heap_;  // every hit, once size_ > kInline
 };
 
 /// One token of an analyzed paragraph: its interned word and whether the
@@ -78,17 +106,21 @@ class Lexicon {
   [[nodiscard]] NormId find_norm(std::string_view term) const;
 
   /// Every keyword's norm, looked up once (keywords are analyzer-normalized
-  /// terms, as QP extracts them).
+  /// terms, as QP extracts them). Each call gets a fresh resolution serial.
   [[nodiscard]] KeywordNorms resolve(
       std::span<const std::string> keywords) const;
-  /// Replaces `hits` with the keyword hits of `tokens` in position order:
-  /// every token whose norm is a keyword's, tagged with the first such
-  /// keyword (stopwords never hit). One filter test per token; only the
-  /// tokens that pass it are compared with the keywords. Fails a
-  /// QADIST_CHECK unless `keywords` were resolved by this lexicon.
+  /// Whether `keywords` were resolved by this lexicon.
+  [[nodiscard]] bool resolved(const KeywordNorms& keywords) const {
+    return keywords.lexicon == serial_ && serial_ != 0;
+  }
+  /// Replaces `hits` with the keyword hits of `tokens` in position order,
+  /// tagged with `keywords`' resolution: every token whose norm is a
+  /// keyword's, with the first such keyword (stopwords never hit). One
+  /// filter test per token; only the tokens that pass it are compared with
+  /// the keywords. Fails a QADIST_CHECK unless `keywords` were resolved by
+  /// this lexicon.
   void keyword_hits(std::span<const WordToken> tokens,
-                    const KeywordNorms& keywords,
-                    std::vector<KeywordHit>& hits) const;
+                    const KeywordNorms& keywords, KeywordHits& hits) const;
 
   [[nodiscard]] std::size_t word_count() const { return word_norms_.size(); }
   [[nodiscard]] std::size_t norm_count() const { return norm_texts_.size(); }

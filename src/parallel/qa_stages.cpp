@@ -58,6 +58,9 @@ ParallelRetrievalResult parallel_retrieve_and_score(
       });
   // Paragraph merging: concatenate in sub-collection order so the merged
   // set is independent of worker interleaving.
+  std::size_t merged = 0;
+  for (const auto& buffer : buffers) merged += buffer.value.size();
+  result.paragraphs.reserve(merged);
   for (auto& buffer : buffers) {
     result.paragraphs.insert(result.paragraphs.end(),
                              std::make_move_iterator(buffer.value.begin()),
@@ -74,32 +77,25 @@ ParallelAnswerResult parallel_answer_processing(
   ParallelAnswerResult result;
   const std::size_t limit = engine.config().answers.answers_requested;
   using Top = qa::TopAnswers<qa::CandidateAnswer>;
-  // One worker's running top, and the list it reuses for a paragraph's
-  // candidates.
-  struct Worker {
-    Top top;
-    std::vector<qa::CandidateAnswer> batch;
-  };
-  std::vector<Padded<Worker>> workers(options.workers,
-                                      {Worker{Top(limit), {}}});
+  // One running top per worker; a candidate gets its text only if its
+  // worker's top could admit it.
+  std::vector<Padded<Top>> tops(options.workers, {Top(limit)});
 
   PartitionedExecutor executor(pool);
   const double t0 = now_seconds();
   result.report = executor.run(
       paragraphs.size(), options, [&](std::size_t item, std::size_t worker) {
-        auto& [top, batch] = workers[worker].value;
-        batch.clear();
-        engine.answer_candidates(question, paragraphs[item], batch);
-        for (auto& candidate : batch) top.offer(std::move(candidate), item);
+        engine.offer_answers(question, paragraphs[item], item,
+                             tops[worker].value);
       });
   // Answer merging + answer sorting (paper Fig. 3): the workers' tops, at
   // most workers x limit candidates, merge by the same rule into the
   // sequential pipeline's list, whichever worker produced what; only the
   // answers kept get their window text.
   Top merged(limit);
-  for (auto& worker : workers) {
-    for (auto& ranked : worker.value.top.take()) {
-      merged.offer(std::move(ranked.answer), ranked.paragraph);
+  for (auto& top : tops) {
+    for (const auto& ranked : top.value.take()) {
+      merged.offer(ranked.answer, ranked.paragraph);
     }
   }
   for (auto& ranked : merged.take()) {

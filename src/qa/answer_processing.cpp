@@ -19,17 +19,30 @@ std::size_t distance(std::size_t t, std::size_t begin, std::size_t end) {
   return t < begin ? begin - t : (t > end ? t - end : 0);
 }
 
+/// The calling thread's AP scratch: each keyword's nearest hit to the
+/// candidate, and the candidate being scored, whose text keeps its
+/// capacity from one candidate to the next.
+struct Scratch {
+  std::vector<const ir::KeywordHit*> nearest;
+  CandidateAnswer candidate;
+};
+
+Scratch& scratch() {
+  thread_local Scratch local;
+  return local;
+}
+
 }  // namespace
 
+template <typename Emit>
 void AnswerProcessor::score_candidates(const ProcessedQuestion& question,
                                        const ScoredParagraph& paragraph,
                                        const CorpusAnalysis& analysis,
-                                       std::vector<CandidateAnswer>& out,
-                                       AnswerWork* work) const {
+                                       AnswerWork* work, Emit&& emit) const {
   const AnalyzedParagraph text = analysis.of(paragraph.paragraph);
   const auto& tokens = text.tokens;
-  std::vector<ir::KeywordHit> hits;
-  keyword_hits(text, question, hits);
+  const std::span<const ir::KeywordHit> hits =
+      scored_hits(paragraph, text, question);
 
   if (work != nullptr) {
     ++work->paragraphs_processed;
@@ -43,7 +56,10 @@ void AnswerProcessor::score_candidates(const ProcessedQuestion& question,
                                   return hit.position < position;
                                 });
   };
-  std::vector<const ir::KeywordHit*> nearest(k);
+  Scratch& local = scratch();
+  std::vector<const ir::KeywordHit*>& nearest = local.nearest;
+  CandidateAnswer& candidate = local.candidate;
+  nearest.resize(k);
 
   for (const EntityMention& mention : text.mentions) {
     if (work != nullptr) ++work->candidates_considered;
@@ -145,17 +161,34 @@ void AnswerProcessor::score_candidates(const ProcessedQuestion& question,
 
     const double h7 = std::min(1.0, paragraph.score);
 
-    CandidateAnswer candidate;
+    candidate.candidate.clear();
     candidate.score = 0.25 * h1 + 0.20 * h2 + 0.10 * h3 + 0.10 * h4 +
                       0.10 * h5 + 0.15 * h6 + 0.10 * h7;
-    candidate.candidate =
-        surface_span(text, mention.first_token, mention.token_count);
     candidate.ref = paragraph.paragraph.ref;
     candidate.type = mention.type;
     candidate.window_first = static_cast<std::uint32_t>(win_begin);
     candidate.window_tokens = static_cast<std::uint32_t>(window_len);
-    out.push_back(std::move(candidate));
+    emit(candidate, [&] {
+      surface_span(text, mention.first_token, mention.token_count,
+                   candidate.candidate);
+    });
   }
+}
+
+void AnswerProcessor::offer_candidates(const ProcessedQuestion& question,
+                                       const ScoredParagraph& paragraph,
+                                       std::size_t index,
+                                       const CorpusAnalysis& analysis,
+                                       TopAnswers<CandidateAnswer>& top,
+                                       AnswerWork* work) const {
+  score_candidates(question, paragraph, analysis, work,
+                   [&](const CandidateAnswer& candidate, const auto& name) {
+                     // A candidate the top would reject whatever its text
+                     // gets none.
+                     if (!top.admits(candidate.score)) return;
+                     name();
+                     top.offer(candidate, index);
+                   });
 }
 
 Answer AnswerProcessor::answer(CandidateAnswer candidate,
@@ -175,13 +208,12 @@ Answer AnswerProcessor::answer(CandidateAnswer candidate,
 std::vector<Answer> AnswerProcessor::process_paragraph(
     const ProcessedQuestion& question, const ScoredParagraph& paragraph,
     const CorpusAnalysis& analysis, AnswerWork* work) const {
-  std::vector<CandidateAnswer> candidates;
-  score_candidates(question, paragraph, analysis, candidates, work);
   std::vector<Answer> answers;
-  answers.reserve(candidates.size());
-  for (auto& candidate : candidates) {
-    answers.push_back(answer(std::move(candidate), analysis));
-  }
+  score_candidates(question, paragraph, analysis, work,
+                   [&](const CandidateAnswer& candidate, const auto& name) {
+                     name();
+                     answers.push_back(answer(candidate, analysis));
+                   });
   return answers;
 }
 
@@ -190,14 +222,13 @@ std::vector<Answer> AnswerProcessor::process(
     std::span<const ScoredParagraph> paragraphs,
     const CorpusAnalysis& analysis, AnswerWork* work) const {
   TopAnswers<CandidateAnswer> top(config_.answers_requested);
-  std::vector<CandidateAnswer> batch;
   for (std::size_t i = 0; i < paragraphs.size(); ++i) {
-    batch.clear();
-    score_candidates(question, paragraphs[i], analysis, batch, work);
-    for (auto& candidate : batch) top.offer(std::move(candidate), i);
+    offer_candidates(question, paragraphs[i], i, analysis, top, work);
   }
+  auto kept = top.take();
   std::vector<Answer> answers;
-  for (auto& ranked : top.take()) {
+  answers.reserve(kept.size());
+  for (auto& ranked : kept) {
     answers.push_back(answer(std::move(ranked.answer), analysis));
   }
   return answers;

@@ -10,93 +10,6 @@
 
 namespace qadist::qa {
 
-/// Work accounting emitted by an AP call — feeds the simulator's cost model
-/// (AP is ~100% CPU on the paper's platform, Table 3).
-struct AnswerWork {
-  std::size_t paragraphs_processed = 0;
-  /// FALCON cost proxy: the tokens of the processed paragraphs, which
-  /// FALCON's AP walks. The host code scans them with one filter test each
-  /// and scores over the keyword hits only.
-  std::size_t tokens_scanned = 0;
-  std::size_t candidates_considered = 0;
-  std::size_t windows_scored = 0;
-};
-
-/// Answer Processing (AP): the pipeline's dominant module (69.7% of TREC-9
-/// task time, paper Table 2). For each accepted paragraph it reads the
-/// entity mentions recognized when the collection was analyzed (see
-/// CorpusAnalysis), keeps candidates matching the question's answer type,
-/// builds an answer window around each candidate ("text spans that include
-/// the candidate answer and one of each of the question keywords"), and
-/// scores the window with seven heuristics (paper Sec. 2.1, after [27]):
-///
-///  H1 window completeness: fraction of keywords inside the window;
-///  H2 candidate proximity: inverse mean distance candidate -> nearest
-///     occurrence of each present keyword;
-///  H3 same order:          keywords appear in question order in the window;
-///  H4 recognizer confidence (gazetteer 1.0, pattern < 1);
-///  H5 keyword density within the window;
-///  H6 linking cue:         candidate preceded by a linking word
-///     ("is", "in", "by", "of", "for", "to", "was");
-///  H7 paragraph rank carried in from paragraph scoring.
-///
-/// Candidates whose tokens are all question keywords are skipped — the
-/// question's own subject is never a valid answer.
-///
-/// Keyword hits come from the paragraph's analysis and the question's
-/// resolved keyword norms (keyword_hits); the windows and heuristics are
-/// computed over the hits. One scoring body (score_candidates) yields
-/// every candidate without its window text; an answer's window text is
-/// built only when it is returned.
-class AnswerProcessor {
- public:
-  struct Config {
-    std::size_t answers_requested = 5;   ///< Na: answers returned per call
-    std::size_t max_window_tokens = 30;  ///< clip for degenerate paragraphs
-    /// Byte budget of the returned answer text, trimmed around the
-    /// candidate — the paper's answer formats are 50 bytes (short answers)
-    /// or 250 bytes (long answers), cf. Table 1.
-    std::size_t answer_window_bytes = 250;
-  };
-
-  AnswerProcessor() = default;
-  explicit AnswerProcessor(Config config) : config_(config) {}
-
-  /// Extracts and scores the candidate answers of one paragraph, reading
-  /// its entry in `analysis` (checked against its ref and text), and
-  /// appends them to `out` in mention order, without window text. The
-  /// question's keywords must have been resolved against `analysis`.
-  /// Thread-safe.
-  void score_candidates(const ProcessedQuestion& question,
-                        const ScoredParagraph& paragraph,
-                        const CorpusAnalysis& analysis,
-                        std::vector<CandidateAnswer>& out,
-                        AnswerWork* work = nullptr) const;
-
-  /// The answer `candidate` stands for: its window text built from its
-  /// paragraph's analysis and trimmed to `answer_window_bytes`.
-  [[nodiscard]] Answer answer(CandidateAnswer candidate,
-                              const CorpusAnalysis& analysis) const;
-
-  /// Every candidate answer of one paragraph, with its text, unsorted.
-  [[nodiscard]] std::vector<Answer> process_paragraph(
-      const ProcessedQuestion& question, const ScoredParagraph& paragraph,
-      const CorpusAnalysis& analysis, AnswerWork* work = nullptr) const;
-
-  /// Processes a batch of paragraphs and returns the best
-  /// `answers_requested` answers (TopAnswers over the batch in order); only
-  /// those get window text.
-  [[nodiscard]] std::vector<Answer> process(
-      const ProcessedQuestion& question,
-      std::span<const ScoredParagraph> paragraphs,
-      const CorpusAnalysis& analysis, AnswerWork* work = nullptr) const;
-
-  [[nodiscard]] const Config& config() const { return config_; }
-
- private:
-  Config config_;
-};
-
 /// The answer-merge rule: the answer merging and answer sorting modules
 /// that follow distributed AP (paper Fig. 3). Keeps the best `limit`
 /// candidates, each with its best answer, best first. Answers (Answer or
@@ -125,7 +38,19 @@ class TopAnswers {
 
   explicit TopAnswers(std::size_t limit) : limit_(limit) {}
 
-  void offer(A&& answer, std::size_t paragraph) {
+  /// Whether an answer scoring `score` could enter the top. False only
+  /// when the top is full and `score` is below its last answer's, which
+  /// offer rejects whatever the candidate: so a caller may build an
+  /// answer's candidate text only when this holds.
+  [[nodiscard]] bool admits(double score) const {
+    return limit_ != 0 &&
+           (top_.size() < limit_ || score >= top_.back().answer.score);
+  }
+
+  /// Copies `answer` in if it belongs to the top. An answer that displaces
+  /// the last one takes over its slot, so the strings the top holds keep
+  /// their capacity.
+  void offer(const A& answer, std::size_t paragraph) {
     if (limit_ == 0) return;
     auto pos = std::find_if(top_.begin(), top_.end(), [&](const Ranked& r) {
       return r.answer.candidate == answer.candidate;
@@ -135,14 +60,14 @@ class TopAnswers {
           (answer.score == pos->answer.score && paragraph >= pos->paragraph)) {
         return;
       }
+    } else if (top_.size() == limit_) {
+      if (!ahead(answer, top_.back().answer)) return;
+      pos = std::prev(top_.end());
     } else {
-      if (top_.size() == limit_) {
-        if (!ahead(answer, top_.back().answer)) return;
-        top_.pop_back();
-      }
       pos = top_.emplace(top_.end());
     }
-    *pos = Ranked{std::move(answer), paragraph};
+    pos->answer = answer;
+    pos->paragraph = paragraph;
     // Only this candidate's key rose: move it up to its place.
     for (; pos != top_.begin() && ahead(pos->answer, std::prev(pos)->answer);
          --pos) {
@@ -161,6 +86,105 @@ class TopAnswers {
 
   std::vector<Ranked> top_;  // sorted by ahead()
   std::size_t limit_;
+};
+
+/// Work accounting emitted by an AP call — feeds the simulator's cost model
+/// (AP is ~100% CPU on the paper's platform, Table 3).
+struct AnswerWork {
+  std::size_t paragraphs_processed = 0;
+  /// FALCON cost proxy: the tokens of the processed paragraphs, which
+  /// FALCON's AP walks. The host code scores over the keyword hits PS
+  /// found and does not scan them again.
+  std::size_t tokens_scanned = 0;
+  std::size_t candidates_considered = 0;
+  std::size_t windows_scored = 0;
+};
+
+/// Answer Processing (AP): the pipeline's dominant module (69.7% of TREC-9
+/// task time, paper Table 2). For each accepted paragraph it reads the
+/// entity mentions recognized when the collection was analyzed (see
+/// CorpusAnalysis), keeps candidates matching the question's answer type,
+/// builds an answer window around each candidate ("text spans that include
+/// the candidate answer and one of each of the question keywords"), and
+/// scores the window with seven heuristics (paper Sec. 2.1, after [27]):
+///
+///  H1 window completeness: fraction of keywords inside the window;
+///  H2 candidate proximity: inverse mean distance candidate -> nearest
+///     occurrence of each present keyword;
+///  H3 same order:          keywords appear in question order in the window;
+///  H4 recognizer confidence (gazetteer 1.0, pattern < 1);
+///  H5 keyword density within the window;
+///  H6 linking cue:         candidate preceded by a linking word
+///     ("is", "in", "by", "of", "for", "to", "was");
+///  H7 paragraph rank carried in from paragraph scoring.
+///
+/// Candidates whose tokens are all question keywords are skipped — the
+/// question's own subject is never a valid answer.
+///
+/// The keyword hits are the ones paragraph scoring stored in the
+/// ScoredParagraph (scored_hits checks they belong to the question's
+/// keyword resolution); the windows and heuristics are computed over them.
+/// One scoring body (score_candidates) yields every candidate without
+/// text. Offered to a TopAnswers, a candidate gets its candidate text only
+/// if the top could admit it, and window text only if it is returned.
+/// Per-paragraph scratch is the calling thread's, reused across calls.
+class AnswerProcessor {
+ public:
+  struct Config {
+    std::size_t answers_requested = 5;   ///< Na: answers returned per call
+    std::size_t max_window_tokens = 30;  ///< clip for degenerate paragraphs
+    /// Byte budget of the returned answer text, trimmed around the
+    /// candidate — the paper's answer formats are 50 bytes (short answers)
+    /// or 250 bytes (long answers), cf. Table 1.
+    std::size_t answer_window_bytes = 250;
+  };
+
+  AnswerProcessor() = default;
+  explicit AnswerProcessor(Config config) : config_(config) {}
+
+  /// Extracts and scores the candidate answers of one paragraph, the
+  /// `index`th of the accepted ones, reading its entry in `analysis`
+  /// (checked against its ref and text) and the keyword hits PS stored in
+  /// it (checked against the question's keyword resolution), and offers
+  /// them to `top` in mention order. Only a candidate `top` admits gets its
+  /// candidate text; none gets window text. Thread-safe for distinct tops.
+  void offer_candidates(const ProcessedQuestion& question,
+                        const ScoredParagraph& paragraph, std::size_t index,
+                        const CorpusAnalysis& analysis,
+                        TopAnswers<CandidateAnswer>& top,
+                        AnswerWork* work = nullptr) const;
+
+  /// The answer `candidate` stands for: its window text built from its
+  /// paragraph's analysis and trimmed to `answer_window_bytes`.
+  [[nodiscard]] Answer answer(CandidateAnswer candidate,
+                              const CorpusAnalysis& analysis) const;
+
+  /// Every candidate answer of one paragraph, with its text, unsorted.
+  [[nodiscard]] std::vector<Answer> process_paragraph(
+      const ProcessedQuestion& question, const ScoredParagraph& paragraph,
+      const CorpusAnalysis& analysis, AnswerWork* work = nullptr) const;
+
+  /// Processes a batch of paragraphs and returns the best
+  /// `answers_requested` answers (TopAnswers over the batch in order); only
+  /// those get window text.
+  [[nodiscard]] std::vector<Answer> process(
+      const ProcessedQuestion& question,
+      std::span<const ScoredParagraph> paragraphs,
+      const CorpusAnalysis& analysis, AnswerWork* work = nullptr) const;
+
+  [[nodiscard]] const Config& config() const { return config_; }
+
+ private:
+  /// The scoring body: calls `emit(candidate, name)` for every scored
+  /// candidate of `paragraph`, in mention order, with `candidate` lacking
+  /// text; `name()` builds its candidate text.
+  template <typename Emit>
+  void score_candidates(const ProcessedQuestion& question,
+                        const ScoredParagraph& paragraph,
+                        const CorpusAnalysis& analysis, AnswerWork* work,
+                        Emit&& emit) const;
+
+  Config config_;
 };
 
 }  // namespace qadist::qa

@@ -76,12 +76,12 @@ std::vector<Answer> Engine::answer_paragraph(const ProcessedQuestion& question,
                                              work);
 }
 
-void Engine::answer_candidates(const ProcessedQuestion& question,
-                               const ScoredParagraph& paragraph,
-                               std::vector<CandidateAnswer>& out,
-                               AnswerWork* work) const {
-  answer_processor_.score_candidates(question, paragraph, analysis_, out,
-                                     work);
+void Engine::offer_answers(const ProcessedQuestion& question,
+                           const ScoredParagraph& paragraph, std::size_t index,
+                           TopAnswers<CandidateAnswer>& top,
+                           AnswerWork* work) const {
+  answer_processor_.offer_candidates(question, paragraph, index, analysis_,
+                                     top, work);
 }
 
 Answer Engine::build_answer(CandidateAnswer candidate) const {

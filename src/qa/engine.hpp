@@ -106,13 +106,14 @@ class Engine {
       const ProcessedQuestion& question, const ScoredParagraph& paragraph,
       AnswerWork* work = nullptr) const;
 
-  /// AP's scoring for one paragraph: appends its candidate answers, without
-  /// window text, to `out`. A TopAnswers merges them; build_answer then
-  /// gives the kept ones their text.
-  void answer_candidates(const ProcessedQuestion& question,
-                         const ScoredParagraph& paragraph,
-                         std::vector<CandidateAnswer>& out,
-                         AnswerWork* work = nullptr) const;
+  /// AP's scoring for one paragraph, the `index`th of the accepted ones:
+  /// offers its candidate answers to `top`, building candidate text only
+  /// for those `top` could admit; build_answer then gives the kept ones
+  /// their window text.
+  void offer_answers(const ProcessedQuestion& question,
+                     const ScoredParagraph& paragraph, std::size_t index,
+                     TopAnswers<CandidateAnswer>& top,
+                     AnswerWork* work = nullptr) const;
   [[nodiscard]] Answer build_answer(CandidateAnswer candidate) const;
 
   /// AP over a paragraph batch (iterative unit: the paragraph). Returns the

@@ -11,12 +11,16 @@ namespace qadist::qa {
 ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
                                        RetrievedParagraph paragraph,
                                        const CorpusAnalysis& analysis) const {
-  std::vector<ir::KeywordHit> hits;
-  keyword_hits(analysis.of(paragraph), question, hits);
+  ScoredParagraph scored;
+  scored.paragraph = paragraph;
+  keyword_hits(analysis.of(paragraph), question, scored.hits);
+  const std::span<const ir::KeywordHit> hits = scored.hits.view();
   const std::size_t k = question.keywords.size();
 
-  // H1: completeness.
-  std::vector<std::uint32_t> need_count(k, 0);  // hits per keyword
+  // H1: completeness. The per-keyword counts are the calling thread's,
+  // reused across calls.
+  thread_local std::vector<std::uint32_t> need_count;
+  need_count.assign(k, 0);  // hits per keyword
   std::size_t present_count = 0;
   for (const auto& hit : hits) {
     if (need_count[hit.keyword]++ == 0) ++present_count;
@@ -63,10 +67,8 @@ ScoredParagraph ParagraphScorer::score(const ProcessedQuestion& question,
          static_cast<double>(std::max(best_window, present_count));
   }
 
-  ScoredParagraph scored;
   scored.score = weights_.completeness * h1 + weights_.sequence * h2 +
                  weights_.proximity * h3;
-  scored.paragraph = paragraph;
   return scored;
 }
 

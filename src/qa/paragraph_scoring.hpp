@@ -21,7 +21,9 @@ namespace qadist::qa {
 /// The paragraph's tokens and norms come from its CorpusAnalysis and the
 /// question's keyword norms were resolved once, so the per-paragraph work
 /// is one filter test per token, then the heuristics over the paragraph's
-/// keyword hits.
+/// keyword hits. The hits are returned in the ScoredParagraph for answer
+/// processing; a paragraph with at most ir::KeywordHits::kInline of them
+/// is scored without allocating.
 class ParagraphScorer {
  public:
   struct Weights {

@@ -33,10 +33,14 @@ struct RetrievedParagraph {
   std::uint32_t keywords_present = 0;
 };
 
-/// A paragraph with its Paragraph Scoring rank value attached.
+/// A paragraph with its Paragraph Scoring rank value attached, and the
+/// keyword hits PS scored it over, which AP reads instead of scanning the
+/// paragraph again (tagged with the question's keyword resolution, which AP
+/// checks).
 struct ScoredParagraph {
   RetrievedParagraph paragraph;
   double score = 0.0;
+  ir::KeywordHits hits;
 };
 
 /// One extracted answer: the candidate entity plus its surrounding answer
@@ -52,7 +56,9 @@ struct Answer {
 
 /// A scored answer before its window text is built: the Answer's fields
 /// but `window`, and the token span the window is built from. AP scores
-/// every candidate into one of these; only the answers kept get text.
+/// every candidate into one of these; `candidate` text is built only for
+/// the candidates a TopAnswers could admit, and window text only for the
+/// answers kept.
 struct CandidateAnswer {
   std::string candidate;
   double score = 0.0;

@@ -5,8 +5,7 @@
 namespace qadist::qa {
 
 void keyword_hits(const AnalyzedParagraph& paragraph,
-                  const ProcessedQuestion& question,
-                  std::vector<ir::KeywordHit>& hits) {
+                  const ProcessedQuestion& question, ir::KeywordHits& hits) {
   paragraph.lexicon->keyword_hits(paragraph.tokens, question.keyword_norms,
                                   hits);
   QADIST_CHECK(question.keyword_norms.norms.size() == question.keywords.size(),
@@ -15,9 +14,25 @@ void keyword_hits(const AnalyzedParagraph& paragraph,
                << question.keyword_norms.norms.size() << " resolved");
 }
 
-std::string surface_span(const AnalyzedParagraph& paragraph, std::size_t first,
-                         std::size_t count) {
-  std::string out;
+std::span<const ir::KeywordHit> scored_hits(const ScoredParagraph& paragraph,
+                                            const AnalyzedParagraph& text,
+                                            const ProcessedQuestion& question) {
+  QADIST_CHECK(text.lexicon->resolved(question.keyword_norms),
+               << "keywords not resolved against this analysis");
+  QADIST_CHECK(paragraph.hits.resolution() != 0 &&
+                   paragraph.hits.resolution() ==
+                       question.keyword_norms.resolution,
+               << "paragraph (" << paragraph.paragraph.ref.doc << ", "
+               << paragraph.paragraph.ref.index
+               << ") carries no keyword hits of question " << question.id
+               << "'s resolution " << question.keyword_norms.resolution
+               << " (hits resolution " << paragraph.hits.resolution() << ")");
+  return paragraph.hits.view();
+}
+
+void surface_span(const AnalyzedParagraph& paragraph, std::size_t first,
+                  std::size_t count, std::string& out) {
+  out.clear();
   const auto& tokens = paragraph.tokens;
   for (std::size_t i = first; i < first + count && i < tokens.size(); ++i) {
     if (!out.empty()) out += ' ';
@@ -28,6 +43,12 @@ std::string surface_span(const AnalyzedParagraph& paragraph, std::size_t first,
       out[start] = static_cast<char>(out[start] - 'a' + 'A');
     }
   }
+}
+
+std::string surface_span(const AnalyzedParagraph& paragraph, std::size_t first,
+                         std::size_t count) {
+  std::string out;
+  surface_span(paragraph, first, count, out);
   return out;
 }
 

@@ -275,7 +275,7 @@ TEST(CoriTest, KeywordMajorScoresMatchTheShardMajorLoopOnRandomStats) {
   // 37 shards (two of them empty) over 60 terms of skewed spread.
   Rng rng(11);
   std::vector<std::string> vocabulary;
-  for (int t = 0; t < 60; ++t) vocabulary.push_back("t" + std::to_string(t));
+  for (int t = 0; t < 60; ++t) vocabulary.push_back(std::string("t").append(std::to_string(t)));
   std::vector<ir::ShardTermStats> shards(37);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     if (s == 5 || s == 36) continue;

@@ -82,7 +82,7 @@ std::uint64_t instant_hash(const obs::Tracer& tracer) {
     }
   };
   for (const auto& e : tracer.instants()) {
-    mix("N" + std::to_string(e.node + 1) + " ");
+    mix(std::string("N").append(std::to_string(e.node + 1)).append(" "));
     mix(e.text);
     mix("\n");
   }

@@ -17,7 +17,7 @@ corpus::Collection docs_collection() {
   for (std::size_t i = 0; i < docs.size(); ++i) {
     corpus::Document d;
     d.id = static_cast<corpus::DocId>(i);
-    d.title = "d" + std::to_string(i);
+    d.title = std::string("d").append(std::to_string(i));
     d.paragraphs = docs[i];
     c.add(std::move(d));
   }

@@ -77,7 +77,7 @@ TEST(MetricsRegistry, PointersSurviveGrowth) {
   MetricsRegistry reg;
   Counter& first = reg.counter("first");
   for (int i = 0; i < 1000; ++i) {
-    reg.counter("c" + std::to_string(i)).inc();
+    reg.counter(std::string("c").append(std::to_string(i))).inc();
   }
   first.inc();  // must still be valid storage
   EXPECT_DOUBLE_EQ(reg.counter("first").value(), 1.0);

@@ -157,8 +157,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Grid{8, 8}, Grid{100, 7}, Grid{881, 12},
                       Grid{881, 16}, Grid{10000, 5}),
     [](const auto& info) {
-      return "i" + std::to_string(info.param.items) + "_w" +
-             std::to_string(info.param.workers);
+      return std::string("i")
+          .append(std::to_string(info.param.items))
+          .append("_w")
+          .append(std::to_string(info.param.workers));
     });
 
 }  // namespace

@@ -22,27 +22,55 @@ class ApTest : public ::testing::Test {
     gazetteer_.add("Amsen Steel Works", EntityType::kOrganization);
   }
 
-  static ScoredParagraph make_paragraph(std::string_view text,
-                                        double score = 0.8,
-                                        corpus::DocId doc = 0,
-                                        std::uint32_t idx = 0) {
-    return ScoredParagraph{
-        RetrievedParagraph{corpus::ParagraphRef{doc, idx}, text, 0}, score};
+  /// A free paragraph at (doc, idx) and the rank value AP should see.
+  struct FreeParagraph {
+    RetrievedParagraph paragraph;
+    double score = 0.0;
+  };
+
+  static FreeParagraph make_paragraph(std::string_view text,
+                                      double score = 0.8,
+                                      corpus::DocId doc = 0,
+                                      std::uint32_t idx = 0) {
+    return {RetrievedParagraph{corpus::ParagraphRef{doc, idx}, text, 0},
+            score};
+  }
+
+  /// The paragraphs through PS, for the resolved question `q`: each
+  /// carries its keyword hits and the rank value it was made with.
+  std::vector<ScoredParagraph> scored(const ProcessedQuestion& q,
+                                      std::span<const FreeParagraph> batch,
+                                      const CorpusAnalysis& analysis) const {
+    std::vector<ScoredParagraph> out;
+    for (const auto& p : batch) {
+      out.push_back(scorer_.score(q, p.paragraph, analysis));
+      out.back().score = p.score;
+    }
+    return out;
+  }
+
+  CorpusAnalysis analyze(std::span<const FreeParagraph> batch) const {
+    std::vector<RetrievedParagraph> paragraphs;
+    for (const auto& p : batch) paragraphs.push_back(p.paragraph);
+    return testing::analyze_paragraphs(paragraphs, analyzer_, ner_);
   }
 
   /// AP on a free paragraph through its own analysis.
   std::vector<Answer> process_paragraph(const ProcessedQuestion& q,
-                                        const ScoredParagraph& p,
+                                        const FreeParagraph& p,
                                         AnswerWork* work = nullptr) const {
-    const auto analysis =
-        testing::analyze_paragraphs(p.paragraph, analyzer_, ner_);
-    return ap_.process_paragraph(analysis.resolve(q), p, analysis, work);
+    const auto analysis = analyze(std::span(&p, 1));
+    const auto resolved = analysis.resolve(q);
+    return ap_.process_paragraph(
+        resolved, scored(resolved, std::span(&p, 1), analysis).front(),
+        analysis, work);
   }
 
   corpus::Gazetteer gazetteer_;
   ir::Analyzer analyzer_;
   QuestionProcessor qp_;
   EntityRecognizer ner_;
+  ParagraphScorer scorer_;
   AnswerProcessor ap_;
 };
 
@@ -106,7 +134,7 @@ TEST_F(ApTest, CandidateWithNoNearbyKeywordDropped) {
 
 TEST_F(ApTest, ProcessBatchDeduplicatesAndLimits) {
   const auto q = qp_.process(0, "Where is the Amsen Lighthouse ?");
-  std::vector<ScoredParagraph> batch;
+  std::vector<FreeParagraph> batch;
   batch.push_back(make_paragraph(
       "the Amsen Lighthouse is located in Port Varen .", 0.9, 0, 0));
   batch.push_back(make_paragraph(
@@ -115,8 +143,10 @@ TEST_F(ApTest, ProcessBatchDeduplicatesAndLimits) {
   batch.push_back(make_paragraph(
       "the Amsen Lighthouse is near Lake Tarnin .", 0.7, 2, 0));
   AnswerWork work;
-  const auto analysis = testing::analyze_paragraphs(batch, analyzer_, ner_);
-  const auto answers = ap_.process(analysis.resolve(q), batch, analysis, &work);
+  const auto analysis = analyze(batch);
+  const auto resolved = analysis.resolve(q);
+  const auto answers =
+      ap_.process(resolved, scored(resolved, batch, analysis), analysis, &work);
   // Two distinct candidates, Port Varen deduplicated across paragraphs.
   ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers[0].candidate, "Port Varen");
@@ -140,22 +170,23 @@ TEST_F(ApTest, WorkCountersAccumulate) {
 
 /// Offers `answers` to a TopAnswers in order, answer i from paragraph
 /// `paragraph[i]`, and returns its list.
-std::vector<Answer> top_of(std::vector<Answer> answers,
+std::vector<Answer> top_of(const std::vector<Answer>& answers,
                            const std::vector<std::size_t>& paragraph,
                            std::size_t limit) {
   TopAnswers<Answer> top(limit);
   for (std::size_t i = 0; i < answers.size(); ++i) {
-    top.offer(std::move(answers[i]), paragraph[i]);
+    top.offer(answers[i], paragraph[i]);
   }
   std::vector<Answer> out;
   for (auto& ranked : top.take()) out.push_back(std::move(ranked.answer));
   return out;
 }
 
-std::vector<Answer> top_of(std::vector<Answer> answers, std::size_t limit) {
+std::vector<Answer> top_of(const std::vector<Answer>& answers,
+                           std::size_t limit) {
   std::vector<std::size_t> paragraph(answers.size());
   for (std::size_t i = 0; i < paragraph.size(); ++i) paragraph[i] = i;
-  return top_of(std::move(answers), paragraph, limit);
+  return top_of(answers, paragraph, limit);
 }
 
 Answer answer(std::string candidate, double score, corpus::DocId doc = 0) {
@@ -239,19 +270,79 @@ TEST(TopAnswersTest, MatchesSortAnswersOnRandomTies) {
     const std::size_t workers = rng.uniform_u64(1, 4);
     std::vector<TopAnswers<Answer>> tops(workers, TopAnswers<Answer>(limit));
     for (std::size_t i = 0; i < n; ++i) {
-      tops[rng.uniform_u64(0, workers - 1)].offer(Answer(answers[i]),
-                                                  paragraph[i]);
+      tops[rng.uniform_u64(0, workers - 1)].offer(answers[i], paragraph[i]);
     }
     TopAnswers<Answer> merged(limit);
     for (std::size_t w = workers; w-- > 0;) {
-      for (auto& ranked : tops[w].take()) {
-        merged.offer(std::move(ranked.answer), ranked.paragraph);
+      for (const auto& ranked : tops[w].take()) {
+        merged.offer(ranked.answer, ranked.paragraph);
       }
     }
     std::vector<Answer> got;
     for (auto& ranked : merged.take()) got.push_back(std::move(ranked.answer));
     expect_same(got, want);
   }
+}
+
+// AP builds a candidate's text only when the running top admits its score.
+// Offering only the admitted answers gives the top that offering every
+// answer gives, in one top and in per-worker tops merged the same way: on
+// random tie-heavy lists, both equal sort_answers' list in every field.
+TEST(TopAnswersTest, OfferingOnlyAdmittedAnswersKeepsTheTop) {
+  Rng rng(1913);
+  std::size_t skipped = 0;
+  const auto offer_admitted = [&](TopAnswers<Answer>& top, const Answer& a,
+                                  std::size_t paragraph) {
+    if (!top.admits(a.score)) {
+      ++skipped;
+      return;
+    }
+    top.offer(a, paragraph);
+  };
+  const auto take = [](TopAnswers<Answer>& top) {
+    std::vector<Answer> out;
+    for (auto& ranked : top.take()) out.push_back(std::move(ranked.answer));
+    return out;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = rng.uniform_u64(0, 40);
+    const std::size_t limit = rng.uniform_u64(0, 6);
+    std::vector<Answer> answers;
+    std::vector<std::size_t> paragraph;
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      p += rng.uniform_u64(0, 1);
+      answers.push_back(
+          answer(std::string(1, static_cast<char>('a' + rng.uniform_u64(0, 7))),
+                 0.125 * static_cast<double>(rng.uniform_u64(0, 4)),
+                 static_cast<corpus::DocId>(p)));
+      paragraph.push_back(p);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto want = top_of(answers, paragraph, limit);
+    expect_same(want, testing::sort_answers(answers, limit));
+
+    TopAnswers<Answer> one(limit);
+    for (std::size_t i = 0; i < n; ++i) {
+      offer_admitted(one, answers[i], paragraph[i]);
+    }
+    expect_same(take(one), want);
+
+    const std::size_t workers = rng.uniform_u64(1, 4);
+    std::vector<TopAnswers<Answer>> tops(workers, TopAnswers<Answer>(limit));
+    for (std::size_t i = 0; i < n; ++i) {
+      offer_admitted(tops[rng.uniform_u64(0, workers - 1)], answers[i],
+                     paragraph[i]);
+    }
+    TopAnswers<Answer> merged(limit);
+    for (std::size_t w = workers; w-- > 0;) {
+      for (const auto& ranked : tops[w].take()) {
+        offer_admitted(merged, ranked.answer, ranked.paragraph);
+      }
+    }
+    expect_same(take(merged), want);
+  }
+  EXPECT_GT(skipped, 1000u);  // the score test did turn answers away
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "qa/answer_processing.hpp"
+#include "qa/paragraph_scoring.hpp"
 #include "qa/question_processing.hpp"
 #include "support/analyzed_text.hpp"
 
@@ -23,9 +24,8 @@ class AnswerWindowTest : public ::testing::TestWithParam<std::size_t> {
         filler + "the Amsen Lighthouse is located in Port Varen . " + filler;
   }
 
-  ScoredParagraph long_paragraph() const {
-    return ScoredParagraph{
-        RetrievedParagraph{corpus::ParagraphRef{0, 0}, long_text_, 0}, 0.8};
+  RetrievedParagraph long_paragraph() const {
+    return RetrievedParagraph{corpus::ParagraphRef{0, 0}, long_text_, 0};
   }
 
   std::string long_text_;
@@ -40,11 +40,12 @@ TEST_P(AnswerWindowTest, WindowRespectsByteBudget) {
   cfg.answer_window_bytes = GetParam();
   AnswerProcessor ap(cfg);
   const auto p = long_paragraph();
-  const auto analysis =
-      testing::analyze_paragraphs(p.paragraph, analyzer_, ner_);
+  const auto analysis = testing::analyze_paragraphs(p, analyzer_, ner_);
   const auto q =
       analysis.resolve(qp_.process(0, "Where is the Amsen Lighthouse ?"));
-  const auto answers = ap.process_paragraph(q, p, analysis);
+  auto scored = ParagraphScorer().score(q, p, analysis);
+  scored.score = 0.8;
+  const auto answers = ap.process_paragraph(q, scored, analysis);
   ASSERT_FALSE(answers.empty());
   for (const auto& a : answers) {
     EXPECT_LE(a.window.size(), GetParam())
@@ -68,15 +69,15 @@ TEST(AnswerWindowDefaultTest, ShortWindowsUntouched) {
   QuestionProcessor qp(analyzer);
   EntityRecognizer ner(gazetteer, analyzer);
   AnswerProcessor ap;
-  const ScoredParagraph p{
-      RetrievedParagraph{corpus::ParagraphRef{0, 0},
-                         "the Amsen Lighthouse is located in Port Varen .",
-                         0},
-      0.8};
-  const auto analysis = testing::analyze_paragraphs(p.paragraph, analyzer, ner);
+  const RetrievedParagraph p{corpus::ParagraphRef{0, 0},
+                             "the Amsen Lighthouse is located in Port Varen .",
+                             0};
+  const auto analysis = testing::analyze_paragraphs(p, analyzer, ner);
   const auto q =
       analysis.resolve(qp.process(0, "Where is the Amsen Lighthouse ?"));
-  const auto answers = ap.process_paragraph(q, p, analysis);
+  auto scored = ParagraphScorer().score(q, p, analysis);
+  scored.score = 0.8;
+  const auto answers = ap.process_paragraph(q, scored, analysis);
   ASSERT_FALSE(answers.empty());
   // The window is shorter than the 250-byte default: intact.
   EXPECT_NE(answers[0].window.find("located in Port Varen"),

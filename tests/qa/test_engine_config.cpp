@@ -30,7 +30,8 @@ TEST_P(EngineConfigTest, AccuracyHoldsAcrossSubCollectionCounts) {
 INSTANTIATE_TEST_SUITE_P(Splits, EngineConfigTest,
                          ::testing::Values(1u, 2u, 8u, 16u),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           return std::string("k").append(
+                               std::to_string(info.param));
                          });
 
 TEST(EngineConfigTest2, SkewedSplitPreservesAccuracy) {

@@ -152,9 +152,7 @@ TEST(HitOracleTest, KeywordSharingTheStopwordFilterBit) {
       expect_same_answers(engine.answer_paragraph(pq, s),
                           testing::reference_answers(engine.config().answers,
                                                      pq, s, paragraph));
-      std::vector<ir::KeywordHit> found;
-      keyword_hits(paragraph, pq, found);
-      hits += found.size();
+      hits += s.hits.size();
     }
   }
   EXPECT_GT(hits, 0u);
@@ -225,6 +223,29 @@ TEST_F(HitOracleCaseTest, KeywordRepeatedInTheParagraph) {
       "and the Amsen lighthouse faces Lake Tarnin past the lighthouse .",
       keywords("Where is the Amsen Lighthouse ?"), EntityType::kLocation);
   EXPECT_EQ(answers.size(), 2u);
+}
+
+// More hits than ir::KeywordHits holds inline: PS moves them to the heap,
+// and its score and AP's answers still equal the token walk's.
+TEST_F(HitOracleCaseTest, KeywordRepeatedBeyondTheInlineCapacity) {
+  std::string text = "Port Varen";
+  for (std::size_t i = 0; i < 2 * ir::KeywordHits::kInline; ++i) {
+    text += " and the Amsen Lighthouse";
+  }
+  text += " face Lake Tarnin .";
+  const auto question_keywords = keywords("Where is the Amsen Lighthouse ?");
+  const RetrievedParagraph p{corpus::ParagraphRef{0, 0}, text, 0};
+  const auto analysis = testing::analyze_paragraphs(p, analyzer_, ner_);
+  ProcessedQuestion question;
+  question.keywords = question_keywords;
+  const auto s = ParagraphScorer().score(analysis.resolve(question), p,
+                                         analysis);
+  EXPECT_EQ(s.hits.size(), 4 * ir::KeywordHits::kInline);
+
+  const auto answers = compare(text, question_keywords, EntityType::kLocation);
+  std::vector<std::string> candidates;
+  for (const auto& a : answers) candidates.push_back(a.candidate);
+  EXPECT_EQ(candidates, (std::vector<std::string>{"Port Varen", "Lake Tarnin"}));
 }
 
 TEST_F(HitOracleCaseTest, KeywordInsideTheCandidate) {

@@ -86,7 +86,7 @@ TEST(ParagraphAnalysisDeathTest, RefOutsideTheCollectionDies) {
   const RetrievedParagraph no_such_paragraph{
       {docs - 1, static_cast<std::uint32_t>(last.paragraphs.size())}, "", 0};
   EXPECT_DEATH(
-      (void)world.engine->answer_paragraph(pq, {no_such_paragraph, 1.0}),
+      (void)world.engine->answer_paragraph(pq, {no_such_paragraph, 1.0, {}}),
       "has no paragraph");
 }
 
@@ -97,7 +97,7 @@ TEST(ParagraphAnalysisDeathTest, TextOfAnotherLengthDies) {
   const std::string edited_text = doc.paragraphs[0] + " Port Amsen";
   const RetrievedParagraph edited{{0, 0}, edited_text, 0};
   EXPECT_DEATH((void)world.engine->score(pq, edited), "bytes of text");
-  EXPECT_DEATH((void)world.engine->answer_paragraph(pq, {edited, 1.0}),
+  EXPECT_DEATH((void)world.engine->answer_paragraph(pq, {edited, 1.0, {}}),
                "bytes of text");
 }
 
@@ -125,12 +125,42 @@ TEST(ParagraphAnalysisDeathTest, QuestionResolvedElsewhereDies) {
   const auto foreign = other.resolve(unresolved);
   EXPECT_DEATH((void)engine.score(foreign, paragraph),
                "not resolved against this analysis");
-  EXPECT_DEATH((void)engine.answer_paragraph(foreign, {paragraph, 1.0}),
+  EXPECT_DEATH((void)engine.answer_paragraph(foreign, {paragraph, 1.0, {}}),
                "not resolved against this analysis");
 
   auto edited = pq;
   edited.keywords.push_back("amsen");
   EXPECT_DEATH((void)engine.score(edited, paragraph), "keywords but");
+}
+
+// AP reads the keyword hits PS stored in a ScoredParagraph and never scans
+// the paragraph for them: hits computed against another resolution of the
+// same keywords, or none at all (a ScoredParagraph built without PS), are
+// refused rather than read as this question's.
+TEST(ParagraphAnalysisDeathTest, HitsOfAnotherResolutionDie) {
+  const auto& world = test_world();
+  const auto& engine = *world.engine;
+  const auto& q = world.questions[0];
+  const auto pq = engine.process_question(q.id, q.text);
+  const auto again = engine.process_question(q.id, q.text);
+  ASSERT_EQ(again.keyword_norms.norms, pq.keyword_norms.norms);
+  const auto& doc = world.corpus.collection.document(0);
+  const RetrievedParagraph paragraph{{0, 0}, doc.paragraphs[0], 0};
+  const auto scored = engine.score(pq, paragraph);
+  (void)engine.answer_paragraph(pq, scored);  // its own resolution: fine
+
+  EXPECT_DEATH((void)engine.answer_paragraph(again, scored),
+               "carries no keyword hits");
+  EXPECT_DEATH((void)engine.answer_paragraphs(again, std::span(&scored, 1)),
+               "carries no keyword hits");
+
+  ScoredParagraph by_hand;
+  by_hand.paragraph = paragraph;
+  by_hand.score = scored.score;
+  EXPECT_DEATH((void)engine.answer_paragraph(pq, by_hand),
+               "carries no keyword hits");
+  EXPECT_DEATH((void)engine.answer_paragraphs(pq, std::span(&by_hand, 1)),
+               "carries no keyword hits");
 }
 
 }  // namespace

@@ -99,8 +99,10 @@ TEST_F(ScoringTest, ScoreAllPreservesOrderAndCount) {
 // ---------------------------------------------------------------- ordering
 
 ScoredParagraph sp(double score, corpus::DocId doc, std::uint32_t idx) {
-  return ScoredParagraph{
-      RetrievedParagraph{corpus::ParagraphRef{doc, idx}, "", 0}, score};
+  ScoredParagraph p;
+  p.paragraph = RetrievedParagraph{corpus::ParagraphRef{doc, idx}, "", 0};
+  p.score = score;
+  return p;
 }
 
 TEST(OrderingTest, SortsDescending) {

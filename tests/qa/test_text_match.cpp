@@ -23,15 +23,15 @@ class TextMatchTest : public ::testing::Test {
     const auto analysis = analyze(text);
     ProcessedQuestion question;
     question.keywords = std::move(keywords);
-    std::vector<ir::KeywordHit> out;
+    ir::KeywordHits out;
     keyword_hits(analysis.of(corpus::ParagraphRef{0, 0}),
                  analysis.resolve(question), out);
-    return out;
+    return {out.view().begin(), out.view().end()};
   }
 
   /// (position, keyword) of each hit.
   using Pairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-  static Pairs pairs(const std::vector<ir::KeywordHit>& hits) {
+  static Pairs pairs(std::span<const ir::KeywordHit> hits) {
     Pairs out;
     for (const auto& hit : hits) out.emplace_back(hit.position, hit.keyword);
     return out;
@@ -72,9 +72,38 @@ TEST_F(TextMatchTest, KeywordAbsentFromTheLexiconNeverHits) {
   question = analysis.resolve(question);
   ASSERT_EQ(question.keyword_norms.norms.size(), 2u);
   EXPECT_EQ(question.keyword_norms.norms[0], ir::kNoNorm);
-  std::vector<ir::KeywordHit> out;
+  ir::KeywordHits out;
   keyword_hits(analysis.of(corpus::ParagraphRef{0, 0}), question, out);
-  EXPECT_EQ(pairs(out), (Pairs{{1, 1}}));
+  EXPECT_EQ(pairs(out.view()), (Pairs{{1, 1}}));
+  EXPECT_EQ(out.resolution(), question.keyword_norms.resolution);
+}
+
+// Hits beyond the inline capacity move to the heap and read the same, in
+// position order; a later list replaces an overflowed one entirely.
+TEST_F(TextMatchTest, HitsBeyondTheInlineCapacity) {
+  std::string text;
+  Pairs want;
+  for (std::uint32_t i = 0; i < 3 * ir::KeywordHits::kInline; ++i) {
+    text += "amsen filler ";
+    want.emplace_back(2 * i, 0);
+  }
+  EXPECT_EQ(pairs(hits(text, {"amsen"})), want);
+
+  const auto analysis = analyze(text);
+  const auto paragraph = analysis.of(corpus::ParagraphRef{0, 0});
+  ProcessedQuestion question;
+  question.keywords = {"amsen"};
+  const auto many = analysis.resolve(question);
+  question.keywords = {"zzyzx"};
+  const auto none = analysis.resolve(question);
+  ir::KeywordHits out;
+  keyword_hits(paragraph, many, out);
+  EXPECT_EQ(pairs(out.view()), want);
+  EXPECT_EQ(out.resolution(), many.keyword_norms.resolution);
+  keyword_hits(paragraph, none, out);
+  EXPECT_TRUE(out.view().empty());
+  EXPECT_EQ(out.resolution(), none.keyword_norms.resolution);
+  EXPECT_NE(many.keyword_norms.resolution, none.keyword_norms.resolution);
 }
 
 TEST_F(TextMatchTest, SurfaceSpanRecapitalizes) {

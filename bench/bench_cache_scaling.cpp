@@ -38,7 +38,6 @@ cluster::SystemConfig cached_config(std::size_t nodes, std::uint64_t seed,
   cfg.nodes = nodes;
   cfg.seed = seed;
   cfg.dispatch.policy = Policy::kDqa;
-  cfg.dispatch.cache_affinity = true;
   cfg.partition.ap_chunk = bench::scaled_chunk(world);
   cfg.cache.answers.max_entries = 256;
   cfg.cache.paragraphs.max_entries = 128;

@@ -15,7 +15,6 @@
 #include "common/stats.hpp"
 #include "parallel/partition.hpp"
 #include "sched/dispatcher.hpp"
-#include "sched/failure_detector.hpp"
 #include "sched/meta_scheduler.hpp"
 
 namespace {
@@ -145,22 +144,19 @@ void BM_CoriScoreShards(benchmark::State& state) {
 BENCHMARK(BM_CoriScoreShards)->Arg(128);
 
 // One monitor period of an N-node pool: each node's monitor, at its own
-// instant, delivers its heartbeat and load broadcast, then expires the
-// load table and sweeps the failure detector (one shared table and
-// detector, as in the simulated cluster).
+// instant, delivers its load broadcast (its heartbeat) and sweeps the load
+// table's failure detector (one shared table, as in the simulated
+// cluster).
 void BM_MonitorSweep(benchmark::State& state) {
   const auto nodes = static_cast<sched::NodeId>(state.range(0));
-  sched::FailureDetector detector(sched::FailureDetectorConfig{1.0, 2.0, 3.0});
-  sched::LoadTable table;
+  sched::LoadTable table(sched::FailureDetectorConfig{1.0, 2.0, 3.0});
   const double step = 1.0 / static_cast<double>(nodes);
   double t = 0.0;
   for (auto _ : state) {
     for (sched::NodeId id = 0; id < nodes; ++id) {
       t += step;
-      detector.heartbeat(id, t);
       table.update(id, sched::ResourceLoad{1.0, 1.0}, t, 0.9);
-      table.expire(t, 3.0);
-      benchmark::DoNotOptimize(detector.sweep(t));
+      benchmark::DoNotOptimize(table.sweep(t));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -13,9 +13,12 @@
 # (scripts/index_results.py), so a report missing from the index, or an
 # entry whose metrics moved, fails the diff too.
 #
-# Left out: the host-timed artifacts (table 2, host partitioning, the
-# micro benches), results/tests.txt and the scenario corpus, which
-# bench_adversarial reads.
+# The host-timed reports (table 2, host partitioning, the micro benches)
+# move from run to run, so they are regenerated but left out of the diff:
+# each must hold the same (metric name, labels) keys as the committed one,
+# and no value is compared. The micro benches run with a short
+# --benchmark_min_time. Left out entirely: results/tests.txt and the
+# scenario corpus, which bench_adversarial reads.
 #
 # Usage: scripts/check_results.sh [build-dir]
 # The build directory defaults to build/ and, like the fresh tree it
@@ -40,7 +43,12 @@ ARTIFACTS=(
   bench_shard_scaling bench_capacity_planning bench_adversarial
   example_cluster_simulation example_evaluation_report
   example_failure_recovery example_parallel_host example_persistence_tour
-  example_quickstart
+  example_quickstart bench_host_partitioning bench_table2_module_breakdown
+  bench_micro_ir bench_micro_qa bench_micro_sched bench_micro_simnet
+)
+HOST_TIMED=(
+  host_partitioning table2_module_breakdown micro_ir micro_qa micro_sched
+  micro_simnet
 )
 
 # run <artifact>: runs one bench (with --out) or example and captures its
@@ -49,6 +57,9 @@ ARTIFACTS=(
 run() {
   local name=$1
   case "$name" in
+    bench_micro_*)
+      QADIST_RESULTS_DIR="$OUT" "$BUILD_DIR/bench/$name" \
+        --benchmark_min_time=0.01 > "$OUT/$name.txt" ;;
     bench_*) "$BUILD_DIR/bench/$name" --out "$OUT" > "$OUT/$name.txt" ;;
     example_persistence_tour)
       TMPDIR=/tmp "$BUILD_DIR/examples/persistence_tour" > "$OUT/$name.txt" ;;
@@ -72,6 +83,33 @@ for path in sys.argv[1:]:
 ' "$OUT"/*.json || status=1
 python3 scripts/index_results.py results "$OUT/INDEX.json" > /dev/null ||
   status=1
+
+python3 - "$OUT" "${HOST_TIMED[@]}" <<'EOF' || status=1
+import collections, json, os, sys
+
+def keys(path):
+    with open(path) as f:
+        metrics = json.load(f)["metrics"]
+    return collections.Counter(
+        (m["name"], tuple(sorted(m["labels"].items()))) for m in metrics)
+
+fresh_dir, names = sys.argv[1], sys.argv[2:]
+ok = True
+for name in names:
+    report = f"BENCH_{name}.json"
+    if not os.path.exists(f"{fresh_dir}/{report}"):
+        print(f"{report}: not regenerated")
+        ok = False
+        continue
+    want = keys(f"results/{report}")
+    got = keys(f"{fresh_dir}/{report}")
+    for key in sorted((want - got).keys()):
+        print(f"{report}: committed metric not regenerated: {key}")
+    for key in sorted((got - want).keys()):
+        print(f"{report}: regenerated metric not committed: {key}")
+    ok = ok and want == got
+sys.exit(0 if ok else 1)
+EOF
 
 diff -ru -x tests.txt -x scenarios -x '*micro_*' \
   -x '*host_partitioning*' -x '*table2_module_breakdown*' \

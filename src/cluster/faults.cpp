@@ -90,9 +90,9 @@ void System::apply_crash(NodeId node) {
     }
   }
   // Deliberately no table_.remove here: membership stays broadcast-driven.
-  // The rest of the pool learns of the death either by expiry (the silent
-  // node ages past membership_timeout) or when a coordinator's reply
-  // timeout fires first.
+  // The rest of the pool learns of the death either when the detector
+  // confirms the silent node dead (past kMembershipTimeout) or when a
+  // coordinator's reply timeout fires first.
 }
 
 void System::apply_restart(NodeId node) {

@@ -9,7 +9,6 @@ namespace qadist::cluster {
 
 Node::Node(simnet::Simulation& sim, sched::NodeId id, const NodeConfig& config)
     : id_(id), sim_(&sim), config_(config) {
-  QADIST_CHECK(config.memory_slots >= 1);
   QADIST_CHECK(config.thrash_exponent >= 0.0);
   QADIST_CHECK(config.cpu_speed > 0.0);
   const std::string base = "node" + std::to_string(id);
@@ -47,12 +46,11 @@ void Node::restart() {
 }
 
 double Node::work_multiplier() const {
-  if (config_.thrash_exponent == 0.0 ||
-      resident_questions_ <= config_.memory_slots) {
+  if (config_.thrash_exponent == 0.0 || resident_questions_ <= kMemorySlots) {
     return 1.0;
   }
   return std::pow(static_cast<double>(resident_questions_) /
-                      static_cast<double>(config_.memory_slots),
+                      static_cast<double>(kMemorySlots),
                   config_.thrash_exponent);
 }
 

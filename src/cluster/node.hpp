@@ -12,20 +12,22 @@ namespace qadist::cluster {
 /// Local disk bandwidth of every node.
 inline constexpr Bandwidth kDiskBandwidth = Bandwidth::from_mbps(250);
 
+/// Questions a node's 256 MB hold without swapping (paper Sec. 4.2: a
+/// question needs 25-40 MB, and more than ~4 simultaneous questions cause
+/// "excessive page swapping").
+inline constexpr int kMemorySlots = 4;
+
 /// Hardware of one simulated cluster node, mirroring the paper's testbed:
 /// a single-CPU Pentium III box with a local disk (kDiskBandwidth) and
 /// 256 MB of RAM. The CPU and disk are fair-share servers — time-sharing
 /// under load is what makes overloaded nodes slow, which is what load
 /// balancing exists to avoid.
 struct NodeConfig {
-  /// Memory-pressure model (paper Sec. 4.2: a question needs 25-40 MB;
-  /// with 256 MB per node, more than ~4 simultaneous questions cause
-  /// "excessive page swapping"). While more than `memory_slots` questions
-  /// are resident, every unit of work on the node is inflated by
-  /// (resident/slots)^thrash_exponent. The default exponent of 0 disables
-  /// the model (pure CPU/disk time-sharing), which is what the calibrated
-  /// experiments use; bench_ablations measures its effect.
-  int memory_slots = 4;
+  /// Memory-pressure model: while more than kMemorySlots questions are
+  /// resident, every unit of work on the node is inflated by
+  /// (resident/kMemorySlots)^thrash_exponent. The default exponent of 0
+  /// disables the model (pure CPU/disk time-sharing), which is what the
+  /// calibrated experiments use; bench_ablations measures its effect.
   double thrash_exponent = 0.0;
 
   /// Relative CPU speed (1.0 = the reference Pentium III). The paper's

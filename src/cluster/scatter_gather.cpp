@@ -183,8 +183,7 @@ void System::ScatterGather<Policy>::on_unreachable(Slot& s) {
   // work still parked in the slot.
   sys_.ins_.legs_unreachable->inc();
   policy_.note_unreachable();
-  sys_.detector_.suspect_hint(s.node, sys_.sim_.now());
-  sys_.table_.mark_stale(s.node);
+  sys_.table_.suspect_hint(s.node, sys_.sim_.now());
   sys_.record_event(policy_.coordinator(), peer(s) + " unreachable during " +
                                                policy_.stage());
   // An unreachable backup drops out of its race without recovery: its

@@ -41,8 +41,8 @@ void System::degrade(QuestionState& q, std::size_t units, bool unserved) {
 System::StagePlacement System::place_stage(NodeId host,
                                            sched::LegStage stage) {
   // table_.size() can hit zero under mass churn (every member crashed,
-  // partitioned away, or expired) — then the host carries the stage alone,
-  // same as when every selected node turns out dead below.
+  // partitioned away, or confirmed dead) — then the host carries the stage
+  // alone, same as when every selected node turns out dead below.
   if (config_.dispatch.policy != Policy::kDqa || table_.size() == 0) {
     return {{host}, {1.0}};
   }
@@ -52,7 +52,7 @@ System::StagePlacement System::place_stage(NodeId host,
       pr ? config_.dispatch.pr_underload_threshold
          : config_.dispatch.ap_underload_threshold,
       &registry_, straggler_mask(stage));
-  // Drop nodes that crashed (but have not yet expired from the table) or
+  // Drop nodes that crashed (but have not yet left the table) or
   // are currently suspected by the failure detector.
   StagePlacement out = survivors(
       {std::move(ms.selected), std::move(ms.weights)}, host, std::nullopt);
@@ -498,7 +498,7 @@ simnet::Task<NodeId> System::place_question(const QuestionState& q,
     // likely to hold its cached answer) unless that node is overloaded or
     // gone — then the paper's load-based rule decides as usual.
     std::optional<NodeId> preferred;
-    if (!caches_.empty() && config_.dispatch.cache_affinity) {
+    if (!caches_.empty()) {
       preferred = affinity_target(cache::question_signature(cache_key));
     }
     const auto decision =
@@ -655,9 +655,9 @@ simnet::SimProcess System::question_process(const QuestionPlan& plan,
     // all herd onto the same momentarily-idle node before the next
     // broadcast. Under heavy churn the host may not be a table member at
     // this point (every member was dead or suspect and pick_live fell back
-    // to a non-crashed node, or membership expired during a migration
-    // ship) — then there is no entry to reserve against; the node's next
-    // broadcast will carry its true load.
+    // to a non-crashed node, or the host was confirmed dead during a
+    // migration ship) — then there is no entry to reserve against; the
+    // node's next broadcast will carry its true load.
     if (table_.is_member(host)) {
       table_.reserve(host, sched::ResourceLoad{sched::kQaWeights.cpu,
                                                sched::kQaWeights.disk});

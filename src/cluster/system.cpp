@@ -52,8 +52,8 @@ System::System(simnet::Simulation& sim, const SystemConfig& config)
         config.net.faults, config.seed ^ 0x94d049bb133111ebULL);
     network_->set_fault_injector(injector_.get());
   }
-  detector_ = sched::FailureDetector(sched::FailureDetectorConfig{
-      kMonitorPeriod, config.net.suspect_after_missed, kMembershipTimeout});
+  table_ = sched::LoadTable(sched::FailureDetectorConfig{
+      kMonitorPeriod, kSuspectAfterMissed, kMembershipTimeout});
   if (config.tail.enabled()) {
     leg_latency_ = sched::LegLatencyTracker(config.nodes, kEwmaAlpha);
     leg_walls_.fill(
@@ -317,7 +317,7 @@ std::span<const char> System::straggler_mask(sched::LegStage stage) {
 
 bool System::schedulable(NodeId node) const {
   return node_crashed_[node] == 0 &&
-         detector_.state(node) == sched::PeerState::kAlive;
+         table_.detector().state(node) == sched::PeerState::kAlive;
 }
 
 bool System::deadline_exceeded(const QuestionState& q) const {
@@ -412,13 +412,12 @@ NodeId System::pick_live(const sched::LoadWeights& weights) const {
 Metrics System::run() {
   QADIST_CHECK(!started_, << "run() called twice");
   started_ = true;
-  // Seed the load table (and the failure detector's peer roster) so
+  // Seed the load table (and its failure detector's peer roster) so
   // dispatch decisions at t=0 see every broadcasting node, then start the
   // per-node monitors.
   for (const auto& node : nodes_) {
     if (node_broadcasting_[node->id()] != 0) {
       table_.update(node->id(), sched::ResourceLoad{}, sim_.now());
-      detector_.heartbeat(node->id(), sim_.now());
     }
   }
   for (const auto& node : nodes_) {
@@ -509,10 +508,11 @@ void System::publish_net_stats() {
   // check discards.
   fold("net_dedup_dropped", injector_ != nullptr ? injector_->duplicates() : 0);
   fold("net_partitions", 0);  // incremented live by the window instants
-  fold("detector_suspicions", detector_.suspicions_raised());
-  fold("detector_false_alarms", detector_.suspicions_cleared());
-  fold("detector_deaths", detector_.deaths_confirmed());
-  fold("detector_rejoins", detector_.rejoins());
+  const sched::FailureDetector& detector = table_.detector();
+  fold("detector_suspicions", detector.suspicions_raised());
+  fold("detector_false_alarms", detector.suspicions_cleared());
+  fold("detector_deaths", detector.deaths_confirmed());
+  fold("detector_rejoins", detector.rejoins());
   const double completed = ins_.completed->value();
   registry_.gauge("degraded_answer_fraction")
       .set(completed > 0.0 ? ins_.questions_degraded->value() / completed
@@ -545,9 +545,9 @@ simnet::SimProcess System::monitor_process(Node& node) {
     ema.disk += alpha * (sample.disk - ema.disk);
     if (node_broadcasting_[node.id()] != 0) {
       // The broadcast doubles as this node's heartbeat: only a delivered
-      // packet refreshes the table and the failure detector, so a lossy or
-      // partitioned link starves both — exactly how the rest of the pool
-      // would experience it.
+      // packet refreshes the table and its failure detector, so a lossy or
+      // partitioned link starves the node's entry — exactly how the rest of
+      // the pool would experience it.
       // Under the broker tier the broadcast rides the node's subtree
       // segment (link_for with src == dst); flat runs use the shared LAN,
       // event-for-event as before.
@@ -568,7 +568,11 @@ simnet::SimProcess System::monitor_process(Node& node) {
         if (relay.delivered) ins_.broker_load_relays->inc();
       }
       if (verdict.delivered) {
-        const auto before = detector_.heartbeat(node.id(), sim_.now());
+        // The damped broadcast absorbs only `alpha` of newly placed load
+        // per period, so keep the complementary share of the reservations
+        // alive.
+        const auto before = table_.update(node.id(), ema, sim_.now(),
+                                          /*reservation_keep=*/1.0 - alpha);
         if (before == sched::PeerState::kDead) {
           // A peer confirmed dead and now heard from again went through an
           // unobserved outage (a graceful leave + rejoin looks the same
@@ -583,19 +587,11 @@ simnet::SimProcess System::monitor_process(Node& node) {
           record_event(node.id(), "peer rejoined after confirmed death",
                        {{"kind", std::string("detector_rejoin")}});
         }
-        // The damped broadcast absorbs only `alpha` of newly placed load
-        // per period, so keep the complementary share of the reservations
-        // alive.
-        table_.update(node.id(), ema, sim_.now(),
-                      /*reservation_keep=*/1.0 - alpha);
       }
     }
-    table_.expire(sim_.now(), kMembershipTimeout);
     // Missed-beat sweep: a suspect's load entry goes stale, a confirmed
-    // death leaves the table at once.
-    for (const sched::DetectorTransition& t : detector_.sweep(sim_.now())) {
-      table_.mark_stale(t.node, t.to == sched::PeerState::kSuspect);
-      if (t.to == sched::PeerState::kDead) table_.remove(t.node);
+    // death leaves the pool at once.
+    for (const sched::DetectorTransition& t : table_.sweep(sim_.now())) {
       record_event(t.node,
                    std::string("peer ") + sched::to_string(t.to) + " (was " +
                        sched::to_string(t.from) + ")",

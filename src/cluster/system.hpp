@@ -91,9 +91,17 @@ inline constexpr std::size_t kLoadPacketBytes = 64;
 /// Load-monitor period: every node broadcasts its load (and so heartbeats)
 /// once a second (paper Sec. 3.1).
 inline constexpr Seconds kMonitorPeriod = 1.0;
-/// Silence after which a peer leaves the load table, the failure detector
-/// confirms it dead, and a coordinator's reply timeout fires.
+/// Silence after which the failure detector confirms a peer dead (and the
+/// load table drops it from the pool), and a coordinator's reply timeout
+/// fires.
 inline constexpr Seconds kMembershipTimeout = 3.0;
+/// Monitor periods of silence after which the failure detector suspects a
+/// peer: placement skips suspects while any trusted node exists. A sweep
+/// confirms only the deaths of peers it suspects, so a silent peer leaves
+/// the pool at kMembershipTimeout only while suspicion comes first.
+inline constexpr double kSuspectAfterMissed = 2.0;
+static_assert(kSuspectAfterMissed * kMonitorPeriod < kMembershipTimeout,
+              "suspicion must precede the membership timeout");
 
 /// Shared-segment network and cluster-monitoring knobs.
 struct NetworkConfig {
@@ -115,15 +123,10 @@ struct NetworkConfig {
   simnet::LinkFaultPlan faults;
   /// Retry/backoff/deadline envelope, effective once `faults` is enabled.
   ReliabilityConfig reliability;
-  /// Heartbeat failure detector: load broadcasts double as heartbeats, and
-  /// a peer silent for this many monitor periods becomes kSuspect (it
-  /// hardens into kDead at kMembershipTimeout). Suspects are skipped by
-  /// placement while any trusted node exists.
-  double suspect_after_missed = 2.0;
 };
 
 /// Question-dispatcher knobs: the policy under test plus the thresholds of
-/// the embedded PR/AP dispatchers and the cache-affinity routing rule.
+/// the embedded PR/AP dispatchers.
 struct DispatchConfig {
   Policy policy = Policy::kDqa;
 
@@ -137,17 +140,6 @@ struct DispatchConfig {
       sched::single_task_load(sched::kPrWeights) + 1.0;
   double ap_underload_threshold =
       sched::single_task_load(sched::kApWeights) + 1.0;
-
-  /// Cache-affinity routing (effective only when caching is configured and
-  /// the policy has a question dispatcher, i.e. INTER/DQA): a question is
-  /// routed to the rendezvous-preferred node for its signature — the node
-  /// most likely to hold its cached answer — unless that node is down or
-  /// its load exceeds the pool's best by more than the dispatcher's
-  /// anti-ping-pong threshold, in which case the normal load-based
-  /// migration rule takes over. The paper's load functions therefore stay
-  /// authoritative under overload; affinity only biases placement while
-  /// the preferred node can absorb the work.
-  bool cache_affinity = true;
 };
 
 /// Intra-question partitioning knobs for the embedded PR/AP dispatchers.
@@ -312,8 +304,8 @@ class System {
   /// Membership dynamics (paper Sec. 3.1: "processors must be able to
   /// dynamically join or leave the system pool" — membership is purely
   /// broadcast-driven). A leaving node stops broadcasting at `at` and
-  /// drops out of the pool once its last broadcast ages past the
-  /// membership timeout; work already placed on it drains normally
+  /// drops out of the pool once the failure detector confirms it dead
+  /// (past the membership timeout); work already placed on it drains normally
   /// (graceful leave). A joining node starts broadcasting at `at` and is
   /// schedulable from its first packet.
   void schedule_leave(sched::NodeId node, Seconds at);
@@ -752,8 +744,7 @@ class System {
   std::unique_ptr<simnet::LinkFaultInjector> injector_;  // null: faults off
   std::unique_ptr<shard::ShardMap> shard_map_;  // null: sharding off
   bool shard_partial_ = false;  // R < nodes: replica-aware scheduling on
-  sched::FailureDetector detector_;
-  sched::LoadTable table_;
+  sched::LoadTable table_;  // membership, loads and the failure detector
   /// Tail-tolerance state (untouched while config().tail is disabled).
   sched::LegLatencyTracker leg_latency_;
   std::array<RunningQuantile, sched::kLegStages> leg_walls_;

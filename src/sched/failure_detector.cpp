@@ -75,8 +75,6 @@ std::vector<DetectorTransition> FailureDetector::sweep(Seconds now) {
     Peer& p = peers_[id];
     if (!p.known || p.state == PeerState::kDead) continue;
     const Seconds silence = now - p.last_heard;
-    // Matches LoadTable::expire's strict `>` so a detector-driven removal
-    // never fires on a different monitor tick than the membership timeout.
     if (p.state == PeerState::kAlive && silence > suspect_after) {
       p.state = PeerState::kSuspect;
       ++suspicions_raised_;

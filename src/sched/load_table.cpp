@@ -1,7 +1,5 @@
 #include "sched/load_table.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace qadist::sched {
@@ -16,17 +14,17 @@ const LoadTable::Entry* LoadTable::find(NodeId node) const {
   return &entries_[node];
 }
 
-void LoadTable::update(NodeId node, const ResourceLoad& load, Seconds now,
-                       double reservation_keep) {
+LoadTable::LoadTable(FailureDetectorConfig detector) : detector_(detector) {}
+
+PeerState LoadTable::update(NodeId node, const ResourceLoad& load, Seconds now,
+                            double reservation_keep) {
   QADIST_CHECK(reservation_keep >= 0.0 && reservation_keep <= 1.0);
   Entry& e = entry(node);
   e.alive = true;
-  e.stale = false;  // a fresh broadcast is trustworthy again
   e.broadcast = load;
   e.reserved.cpu *= reservation_keep;
   e.reserved.disk *= reservation_keep;
-  e.last_update = now;
-  update_floor_ = std::min(update_floor_, now);
+  return detector_.heartbeat(node, now);
 }
 
 void LoadTable::reserve(NodeId node, const ResourceLoad& delta) {
@@ -37,30 +35,25 @@ void LoadTable::reserve(NodeId node, const ResourceLoad& delta) {
   mutable_entry.reserved.disk += delta.disk;
 }
 
+void LoadTable::suspect_hint(NodeId node, Seconds now) {
+  detector_.suspect_hint(node, now);
+}
+
+std::vector<DetectorTransition> LoadTable::sweep(Seconds now) {
+  auto fired = detector_.sweep(now);
+  for (const DetectorTransition& t : fired) {
+    if (t.to == PeerState::kDead) remove(t.node);
+  }
+  return fired;
+}
+
 void LoadTable::remove(NodeId node) {
   if (node < entries_.size()) entries_[node].alive = false;
 }
 
-void LoadTable::mark_stale(NodeId node, bool stale) {
-  if (node < entries_.size() && entries_[node].alive) {
-    entries_[node].stale = stale;
-  }
-}
-
 bool LoadTable::is_stale(NodeId node) const {
-  const Entry* e = find(node);
-  return e != nullptr && e->stale;
-}
-
-void LoadTable::expire(Seconds now, Seconds timeout) {
-  // Every member updated no earlier than the floor, and subtraction is
-  // monotone: unless the floor has aged past the timeout, no member has.
-  if (!(now - update_floor_ > timeout)) return;
-  update_floor_ = std::numeric_limits<Seconds>::infinity();
-  for (auto& e : entries_) {
-    if (e.alive && now - e.last_update > timeout) e.alive = false;
-    if (e.alive) update_floor_ = std::min(update_floor_, e.last_update);
-  }
+  return find(node) != nullptr &&
+         detector_.state(node) == PeerState::kSuspect;
 }
 
 std::vector<NodeId> LoadTable::members() const {
@@ -88,7 +81,7 @@ std::optional<NodeId> LoadTable::least_loaded(const LoadWeights& weights) const 
     double best_load = 0.0;
     for (NodeId id = 0; id < entries_.size(); ++id) {
       if (!entries_[id].alive) continue;
-      if (entries_[id].stale && !allow_stale) continue;
+      if (!allow_stale && is_stale(id)) continue;
       const double l = load_function(load_of(id), weights);
       if (!best || l < best_load) {
         best = id;

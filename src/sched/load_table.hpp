@@ -1,19 +1,23 @@
 #pragma once
 
-#include <limits>
 #include <optional>
 #include <vector>
 
 #include "common/units.hpp"
+#include "sched/failure_detector.hpp"
 #include "sched/load.hpp"
 
 namespace qadist::sched {
 
 /// The cluster-load view every node maintains from the load monitors'
-/// periodic broadcasts (paper Sec. 3.1): per-node resource loads, refresh
-/// timestamps, and broadcast-driven membership — a node silent for longer
-/// than the timeout is dropped from the pool; a node starts (re)existing
-/// the moment it broadcasts.
+/// periodic broadcasts (paper Sec. 3.1): per-node resource loads and
+/// broadcast-driven membership — a node starts (re)existing the moment it
+/// broadcasts, and leaves the pool when its silence gets it confirmed dead.
+///
+/// The broadcasts double as heartbeats, and the table owns the one failure
+/// detector they feed: its verdicts are the table's only liveness clock. A
+/// member the detector suspects is *stale* — it stays in the pool, but its
+/// load figure is no longer trusted.
 ///
 /// Dispatch decisions read this table; to keep a burst of arrivals from
 /// herding onto the same momentarily-idle node before the next broadcast,
@@ -22,7 +26,12 @@ namespace qadist::sched {
 /// reflects the real load).
 class LoadTable {
  public:
-  /// Ingests a broadcast from `node` at time `now`.
+  LoadTable() = default;
+  explicit LoadTable(FailureDetectorConfig detector);
+
+  /// Ingests a broadcast from `node` at time `now`: the node's heartbeat
+  /// and its load. Returns the state the detector had the node in before
+  /// the broadcast (kDead means the broadcast is a rejoin).
   ///
   /// `reservation_keep` in [0,1] scales the node's outstanding
   /// reservations: 0 drops them (an instantaneous-load broadcast already
@@ -30,29 +39,33 @@ class LoadTable {
   /// absorbs a fraction alpha of new load per period, so the caller keeps
   /// the complementary (1 - alpha) reserved to avoid herding arrivals onto
   /// a node whose broadcast lags its true backlog.
-  void update(NodeId node, const ResourceLoad& load, Seconds now,
-              double reservation_keep = 0.0);
+  PeerState update(NodeId node, const ResourceLoad& load, Seconds now,
+                   double reservation_keep = 0.0);
 
   /// Adds a provisional load delta on top of the last broadcast value.
   void reserve(NodeId node, const ResourceLoad& delta);
 
-  /// Drops nodes whose last broadcast is older than `timeout`.
-  void expire(Seconds now, Seconds timeout);
+  /// Direct evidence of trouble (an RPC to `node` exhausted its retries):
+  /// the detector suspects the node at once, so a member's entry goes
+  /// stale until its next broadcast. See FailureDetector::suspect_hint.
+  void suspect_hint(NodeId node, Seconds now);
+
+  /// One monitor tick: applies the detector's silence-based transitions as
+  /// of `now`, drops every node confirmed dead from the pool, and returns
+  /// the transitions that fired. Safe to call from many monitors per
+  /// period.
+  std::vector<DetectorTransition> sweep(Seconds now);
 
   /// Drops one node immediately — a coordinator whose reply timeout fired
-  /// on a dead worker declares it out of the pool without waiting for its
-  /// broadcast to age past the membership timeout. No-op on non-members;
-  /// the node re-enters the pool with its next broadcast.
+  /// on a dead worker declares it out of the pool without waiting for the
+  /// detector. Not a detector verdict: the detector's states and tallies
+  /// are untouched. No-op on non-members; the node re-enters the pool with
+  /// its next broadcast.
   void remove(NodeId node);
 
-  /// Flags a member's entry as stale: the node stays in the pool (its
-  /// broadcasts may simply be getting lost), but its load figure is no
-  /// longer trusted, so least_loaded() passes it over while any fresh
-  /// entry exists. Cleared by the node's next broadcast or by
-  /// mark_stale(node, false). No-op on non-members.
-  void mark_stale(NodeId node, bool stale = true);
-
-  /// True if `node` is a member whose entry is flagged stale.
+  /// True if `node` is a member the detector suspects: it stays in the
+  /// pool (its broadcasts may simply be getting lost), but least_loaded()
+  /// passes it over while any fresh member exists.
   [[nodiscard]] bool is_stale(NodeId node) const;
 
   /// Current members, ascending id.
@@ -72,19 +85,18 @@ class LoadTable {
 
   [[nodiscard]] std::size_t size() const;
 
+  /// The detector behind the pool: peer states and lifecycle tallies.
+  [[nodiscard]] const FailureDetector& detector() const { return detector_; }
+
  private:
   struct Entry {
     bool alive = false;
-    bool stale = false;
     ResourceLoad broadcast;
     ResourceLoad reserved;
-    Seconds last_update = 0.0;
   };
 
   std::vector<Entry> entries_;  // indexed by NodeId
-  // Lower bound on last_update over the members (+inf while there are
-  // none): expire() scans only once it is older than the timeout.
-  Seconds update_floor_ = std::numeric_limits<Seconds>::infinity();
+  FailureDetector detector_;
 
   Entry& entry(NodeId node);
   [[nodiscard]] const Entry* find(NodeId node) const;

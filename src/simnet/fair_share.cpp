@@ -27,7 +27,7 @@ FairShareServer::FairShareServer(Simulation& sim, std::string name,
       name_(std::move(name)),
       total_rate_(total_rate),
       max_rate_(max_rate_per_customer),
-      last_update_(sim.now()) {
+      last_advance_(sim.now()) {
   QADIST_CHECK(total_rate_ > 0.0, << name_ << ": total_rate must be positive");
   QADIST_CHECK(max_rate_ > 0.0, << name_ << ": max_rate must be positive");
 }
@@ -39,7 +39,7 @@ double FairShareServer::per_flow_rate() const {
 
 void FairShareServer::advance() {
   const Seconds now = sim_.now();
-  const Seconds dt = now - last_update_;
+  const Seconds dt = now - last_advance_;
   if (dt > 0.0 && !flows_.empty()) {
     const double rate = per_flow_rate();
     for (auto& flow : flows_) flow.remaining -= rate * dt;
@@ -47,7 +47,7 @@ void FairShareServer::advance() {
     load_integral_ += f * dt;
     busy_integral_ += std::min(1.0, f / parallelism()) * dt;
   }
-  last_update_ = now;
+  last_advance_ = now;
 }
 
 void FairShareServer::reschedule() {

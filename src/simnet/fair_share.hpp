@@ -128,7 +128,7 @@ class FairShareServer {
   double total_rate_;
   double max_rate_;
   std::vector<Flow> flows_;
-  Seconds last_update_ = 0.0;
+  Seconds last_advance_ = 0.0;
   double load_integral_ = 0.0;
   double busy_integral_ = 0.0;
   double work_served_ = 0.0;

@@ -108,7 +108,6 @@ TEST(MemoryPressureTest, MultiplierDisabledByDefault) {
 TEST(MemoryPressureTest, MultiplierGrowsPastSlots) {
   simnet::Simulation sim;
   NodeConfig cfg;
-  cfg.memory_slots = 4;
   cfg.thrash_exponent = 1.0;
   Node node(sim, 0, cfg);
   for (int i = 0; i < 4; ++i) node.question_arrived();

@@ -1,22 +1,29 @@
-// FailureDetector::sweep and LoadTable::expire skip their O(N) scan unless
-// some peer can have crossed a threshold. The skip must be exact: these
-// tests replay a randomized monitor workload against unconditional scans
-// and require the same transitions, states and memberships at every
-// step.
+// The load table keeps one liveness clock: the failure detector it owns.
+// Its pool must read exactly as the two-clock design it replaced — a load
+// table with its own last-heard timeout, kept in step with a separate
+// detector by the monitor loop — and the detector's sweep, which skips its
+// O(N) scan unless some peer can have crossed a threshold, must fire what
+// an unconditional scan fires. These tests replay a randomized monitor
+// workload against that pair, driven as the monitors drove it, and
+// require the same pool, placement picks, transitions and tallies at every
+// monitor tick.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sched/failure_detector.hpp"
 #include "sched/load_table.hpp"
+#include "sched/meta_scheduler.hpp"
 
 namespace qadist::sched {
 namespace {
 
-// The detector with an unconditional per-sweep scan: the oracle.
+// The detector with an unconditional per-sweep scan.
 class ScanDetector {
  public:
   explicit ScanDetector(FailureDetectorConfig config) : config_(config) {}
@@ -95,20 +102,42 @@ class ScanDetector {
   std::vector<Peer> peers_;
 };
 
-// Membership with an unconditional per-expiry scan: the oracle.
-class ScanMembership {
+// A load table with a liveness clock of its own: members expire once their
+// last broadcast is older than the timeout, and the monitor loop copies the
+// detector's verdicts in with mark_stale/remove. Expiry scans every entry.
+class ClockedTable {
  public:
-  void update(NodeId node, Seconds now) {
+  void update(NodeId node, const ResourceLoad& load, Seconds now,
+              double reservation_keep) {
     if (node >= entries_.size()) entries_.resize(node + 1);
-    entries_[node] = {true, now};
+    Entry& e = entries_[node];
+    e.alive = true;
+    e.stale = false;
+    e.broadcast = load;
+    e.reserved.cpu *= reservation_keep;
+    e.reserved.disk *= reservation_keep;
+    e.last_update = now;
   }
-  void remove(NodeId node) {
-    if (node < entries_.size()) entries_[node].alive = false;
+  void reserve(NodeId node, const ResourceLoad& delta) {
+    entries_[node].reserved.cpu += delta.cpu;
+    entries_[node].reserved.disk += delta.disk;
   }
   void expire(Seconds now, Seconds timeout) {
     for (auto& e : entries_) {
       if (e.alive && now - e.last_update > timeout) e.alive = false;
     }
+  }
+  void remove(NodeId node) {
+    if (node < entries_.size()) entries_[node].alive = false;
+  }
+  void mark_stale(NodeId node, bool stale = true) {
+    if (is_member(node)) entries_[node].stale = stale;
+  }
+  [[nodiscard]] bool is_member(NodeId node) const {
+    return node < entries_.size() && entries_[node].alive;
+  }
+  [[nodiscard]] bool is_stale(NodeId node) const {
+    return is_member(node) && entries_[node].stale;
   }
   [[nodiscard]] std::vector<NodeId> members() const {
     std::vector<NodeId> out;
@@ -117,13 +146,81 @@ class ScanMembership {
     }
     return out;
   }
+  [[nodiscard]] ResourceLoad load_of(NodeId node) const {
+    const Entry& e = entries_[node];
+    return ResourceLoad{e.broadcast.cpu + e.reserved.cpu,
+                        e.broadcast.disk + e.reserved.disk};
+  }
+  [[nodiscard]] std::optional<NodeId> least_loaded(
+      const LoadWeights& weights) const {
+    for (const bool allow_stale : {false, true}) {
+      std::optional<NodeId> best;
+      double best_load = 0.0;
+      for (const NodeId id : members()) {
+        if (entries_[id].stale && !allow_stale) continue;
+        const double l = load_function(load_of(id), weights);
+        if (!best || l < best_load) {
+          best = id;
+          best_load = l;
+        }
+      }
+      if (best) return best;
+    }
+    return std::nullopt;
+  }
+  // The same members, effective loads and stale flags as a LoadTable, for
+  // the placement functions (meta_schedule, pick_delegate) that read one.
+  [[nodiscard]] LoadTable snapshot() const {
+    LoadTable out;
+    for (const NodeId id : members()) {
+      out.update(id, load_of(id), 0.0);
+      if (is_stale(id)) out.suspect_hint(id, 0.0);
+    }
+    return out;
+  }
 
  private:
   struct Entry {
     bool alive = false;
+    bool stale = false;
+    ResourceLoad broadcast;
+    ResourceLoad reserved;
     Seconds last_update = 0.0;
   };
   std::vector<Entry> entries_;
+};
+
+// The two clocks, driven as the monitor loop drove them.
+struct TwoClocks {
+  explicit TwoClocks(FailureDetectorConfig config)
+      : detector(config), timeout(config.confirm_dead_after) {}
+
+  PeerState broadcast(NodeId node, const ResourceLoad& load, Seconds now,
+                      double keep) {
+    const PeerState before = detector.heartbeat(node, now);
+    table.update(node, load, now, keep);
+    return before;
+  }
+  void suspect_hint(NodeId node, Seconds now) {
+    detector.suspect_hint(node, now);
+    table.mark_stale(node);
+  }
+  std::vector<DetectorTransition> tick(Seconds now) {
+    const std::size_t before = table.members().size();
+    table.expire(now, timeout);
+    expiries += before - table.members().size();
+    auto fired = detector.sweep(now);
+    for (const DetectorTransition& t : fired) {
+      table.mark_stale(t.node, t.to == PeerState::kSuspect);
+      if (t.to == PeerState::kDead) table.remove(t.node);
+    }
+    return fired;
+  }
+
+  ScanDetector detector;
+  ClockedTable table;
+  Seconds timeout;
+  std::size_t expiries = 0;  // members the table's own clock timed out
 };
 
 void expect_same_transitions(const std::vector<DetectorTransition>& got,
@@ -137,26 +234,67 @@ void expect_same_transitions(const std::vector<DetectorTransition>& got,
   }
 }
 
+void expect_same_schedule(const MetaSchedule& got, const MetaSchedule& want,
+                          Seconds now) {
+  EXPECT_EQ(got.selected, want.selected) << "t=" << now;
+  EXPECT_EQ(got.weights, want.weights) << "t=" << now;
+  EXPECT_EQ(got.partitioned, want.partitioned) << "t=" << now;
+}
+
+// Everything placement reads from the pool, compared after a monitor tick.
+void expect_same_pool(const LoadTable& table, const TwoClocks& ref,
+                      NodeId peers, Seconds now) {
+  const auto members = ref.table.members();
+  ASSERT_EQ(table.members(), members) << "t=" << now;
+  for (NodeId p = 0; p < peers; ++p) {
+    ASSERT_EQ(table.is_stale(p), ref.table.is_stale(p))
+        << "node " << p << " at t=" << now;
+  }
+  for (const NodeId m : members) {
+    EXPECT_EQ(table.load_of(m), ref.table.load_of(m))
+        << "node " << m << " at t=" << now;
+  }
+  for (const LoadWeights& w : {kQaWeights, kPrWeights, kApWeights}) {
+    EXPECT_EQ(table.least_loaded(w), ref.table.least_loaded(w))
+        << "t=" << now;
+  }
+  const LoadTable snapshot = ref.table.snapshot();
+  const std::pair<NodeId, NodeId> ranges[] = {{0, 4}, {4, 8}, {8, peers}};
+  for (const auto& [first, last] : ranges) {
+    EXPECT_EQ(pick_delegate(table, first, last, kPrWeights),
+              pick_delegate(snapshot, first, last, kPrWeights))
+        << "t=" << now;
+  }
+  if (members.empty()) return;
+  expect_same_schedule(meta_schedule(table, kPrWeights, 1.68),
+                       meta_schedule(snapshot, kPrWeights, 1.68), now);
+  expect_same_schedule(meta_schedule(table, kApWeights, 2.0),
+                       meta_schedule(snapshot, kApWeights, 2.0), now);
+  const std::vector<NodeId> odd{1, 3, 5, 7, 9, 11};
+  expect_same_schedule(meta_schedule_among(table, odd, kQaWeights, 1.5),
+                       meta_schedule_among(snapshot, odd, kQaWeights, 1.5),
+                       now);
+}
+
 struct Tally {
   std::size_t transitions = 0;
   std::size_t expiries = 0;
 };
 
-// Peers beat about once a period, lose a `beat_loss` share of beats, and
-// start outages at `outage_rate` per beat; several monitors sweep the
-// shared detector and expire the shared table, each at its own phase,
-// while hints (also for never-enrolled peers) and removals arrive at
-// random. Every step compares the gated structures with the oracles.
+// Peers broadcast random loads about once a period, lose a `beat_loss`
+// share of broadcasts, and start outages at `outage_rate` per beat;
+// several monitors tick the shared pool, each at its own phase, while
+// reservations, hints (also for never-enrolled peers) and reply-timeout
+// removals arrive at random. The one-clock table and the two-clock pair
+// see the same events; every monitor tick and every step compares the
+// pool, the detector states and the tallies.
 void replay_monitor_workload(std::uint64_t seed, double beat_loss,
                              double outage_rate, Tally& tally) {
   constexpr NodeId kPeers = 12;
   constexpr int kMonitors = 5;
-  constexpr Seconds kTimeout = 3.0;
   const FailureDetectorConfig config{1.0, 2.0, 3.0};
-  FailureDetector detector(config);
-  ScanDetector scan_detector(config);
-  LoadTable table;
-  ScanMembership scan_table;
+  LoadTable table(config);
+  TwoClocks ref(config);
 
   Rng rng(seed);
   std::vector<Seconds> next_beat(kPeers);
@@ -171,51 +309,63 @@ void replay_monitor_workload(std::uint64_t seed, double beat_loss,
     for (NodeId p = 0; p < kPeers; ++p) {
       if (next_beat[p] > now) continue;
       if (now >= down_until[p] && !rng.bernoulli(beat_loss)) {
-        ASSERT_EQ(detector.heartbeat(p, now), scan_detector.heartbeat(p, now));
-        table.update(p, ResourceLoad{}, now);
-        scan_table.update(p, now);
+        const ResourceLoad load{rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)};
+        const double keep = rng.bernoulli(0.5) ? 0.0 : rng.uniform01();
+        ASSERT_EQ(table.update(p, load, now, keep),
+                  ref.broadcast(p, load, now, keep))
+            << "t=" << now;
       }
       if (rng.bernoulli(outage_rate)) {
         down_until[p] = now + rng.uniform(1.0, 8.0);
       }
       next_beat[p] = now + 1.0 + 0.1 * rng.uniform01();
     }
+    if (rng.bernoulli(0.2)) {
+      const auto node = static_cast<NodeId>(rng.below(kPeers));
+      if (ref.table.is_member(node)) {
+        const ResourceLoad delta{kQaWeights.cpu, kQaWeights.disk};
+        table.reserve(node, delta);
+        ref.table.reserve(node, delta);
+      }
+    }
     if (rng.bernoulli(0.03)) {
       const auto node = static_cast<NodeId>(rng.below(kPeers + 4));
-      detector.suspect_hint(node, now);
-      scan_detector.suspect_hint(node, now);
+      table.suspect_hint(node, now);
+      ref.suspect_hint(node, now);
     }
     if (rng.bernoulli(0.02)) {
       const auto node = static_cast<NodeId>(rng.below(kPeers));
       table.remove(node);
-      scan_table.remove(node);
+      ref.table.remove(node);
     }
     for (auto& tick : next_tick) {
       if (tick > now) continue;
-      const std::size_t before = scan_table.members().size();
-      table.expire(now, kTimeout);
-      scan_table.expire(now, kTimeout);
-      ASSERT_EQ(table.members(), scan_table.members()) << "t=" << now;
-      tally.expiries += before - scan_table.members().size();
-      const auto want = scan_detector.sweep(now);
-      expect_same_transitions(detector.sweep(now), want, now);
+      const auto want = ref.tick(now);
+      expect_same_transitions(table.sweep(now), want, now);
       tally.transitions += want.size();
+      expect_same_pool(table, ref, kPeers + 4, now);
+      if (::testing::Test::HasFatalFailure()) return;
       tick = now + 1.0;
     }
+    // Broadcasts, hints and removals keep the pools equal between ticks.
+    expect_same_pool(table, ref, kPeers + 4, now);
+    if (::testing::Test::HasFatalFailure()) return;
+    const FailureDetector& detector = table.detector();
     for (NodeId p = 0; p < kPeers + 4; ++p) {
-      ASSERT_EQ(detector.state(p), scan_detector.state(p)) << "t=" << now;
-      ASSERT_EQ(detector.known(p), scan_detector.known(p)) << "t=" << now;
+      ASSERT_EQ(detector.state(p), ref.detector.state(p)) << "t=" << now;
+      ASSERT_EQ(detector.known(p), ref.detector.known(p)) << "t=" << now;
     }
+    ASSERT_EQ(detector.suspicions_raised(), ref.detector.raised);
+    ASSERT_EQ(detector.suspicions_cleared(), ref.detector.cleared);
+    ASSERT_EQ(detector.deaths_confirmed(), ref.detector.deaths);
+    ASSERT_EQ(detector.rejoins(), ref.detector.rejoins);
   }
-  EXPECT_EQ(detector.suspicions_raised(), scan_detector.raised);
-  EXPECT_EQ(detector.suspicions_cleared(), scan_detector.cleared);
-  EXPECT_EQ(detector.deaths_confirmed(), scan_detector.deaths);
-  EXPECT_EQ(detector.rejoins(), scan_detector.rejoins);
+  tally.expiries = ref.expiries;
 }
 
-TEST(ScanGatingTest, DetectorAndTableMatchTheUnconditionalScans) {
+TEST(ScanGatingTest, OneClockMatchesTheTwoClockPair) {
   // Lost beats and outages: silent alive peers and aging members trigger
-  // most scans.
+  // most scans, and members time out.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(seed);
     Tally tally;
